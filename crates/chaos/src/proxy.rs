@@ -11,6 +11,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use dsp_trace::expo::{Exposition, Kind};
+
 use crate::scenario::{Fault, Schedule, FAULT_KINDS};
 
 /// How long a pump read may block before re-checking for shutdown; also
@@ -398,53 +400,103 @@ fn admin_loop(listener: &TcpListener, shared: &Shared) {
 }
 
 fn render_metrics(shared: &Shared) -> String {
+    use Kind::{Counter, Gauge};
     let c = &shared.counters;
     let sched = &shared.config.schedule;
-    let mut out = String::with_capacity(1024);
-    out.push_str("# HELP dsp_chaos_up Whether the chaos proxy is running.\n");
-    out.push_str("# TYPE dsp_chaos_up gauge\ndsp_chaos_up 1\n");
-    out.push_str("# HELP dsp_chaos_uptime_seconds Seconds since the proxy started.\n");
-    out.push_str("# TYPE dsp_chaos_uptime_seconds gauge\n");
-    out.push_str(&format!(
-        "dsp_chaos_uptime_seconds {}\n",
-        shared.started.elapsed().as_secs()
-    ));
-    out.push_str("# HELP dsp_chaos_info Scenario, seed, and fault rate of the schedule.\n");
-    out.push_str("# TYPE dsp_chaos_info gauge\n");
-    out.push_str(&format!(
-        "dsp_chaos_info{{scenario=\"{}\",seed=\"{}\",fault_pct=\"{}\",upstream=\"{}\"}} 1\n",
-        sched.scenario().label(),
-        sched.seed(),
-        sched.fault_pct(),
-        shared.config.upstream,
-    ));
-    out.push_str("# HELP dsp_chaos_connections_total Client connections accepted.\n");
-    out.push_str("# TYPE dsp_chaos_connections_total counter\n");
-    out.push_str(&format!(
-        "dsp_chaos_connections_total {}\n",
-        c.connections.load(Ordering::Relaxed)
-    ));
-    out.push_str("# HELP dsp_chaos_faults_total Faults scheduled, by kind (kind=\"none\" counts clean pass-throughs).\n");
-    out.push_str("# TYPE dsp_chaos_faults_total counter\n");
-    for (kind, counter) in FAULT_KINDS.iter().zip(&c.faults) {
-        out.push_str(&format!(
-            "dsp_chaos_faults_total{{kind=\"{kind}\"}} {}\n",
-            counter.load(Ordering::Relaxed)
-        ));
-    }
-    out.push_str(
-        "# HELP dsp_chaos_upstream_connect_failures_total Dials to the upstream that failed.\n",
+    let mut x = Exposition::new();
+    x.single(
+        "dsp_chaos_up",
+        Gauge,
+        "Whether the chaos proxy is running.",
+        1,
     );
-    out.push_str("# TYPE dsp_chaos_upstream_connect_failures_total counter\n");
-    out.push_str(&format!(
-        "dsp_chaos_upstream_connect_failures_total {}\n",
-        c.upstream_connect_failures.load(Ordering::Relaxed)
-    ));
-    out.push_str("# HELP dsp_chaos_forwarded_bytes_total Response bytes forwarded to clients.\n");
-    out.push_str("# TYPE dsp_chaos_forwarded_bytes_total counter\n");
-    out.push_str(&format!(
-        "dsp_chaos_forwarded_bytes_total {}\n",
-        c.forwarded_bytes.load(Ordering::Relaxed)
-    ));
-    out
+    x.single(
+        "dsp_chaos_uptime_seconds",
+        Gauge,
+        "Seconds since the proxy started.",
+        shared.started.elapsed().as_secs(),
+    );
+    let name = "dsp_chaos_info";
+    x.family(
+        name,
+        Gauge,
+        "Scenario, seed, and fault rate of the schedule.",
+    );
+    x.sample(
+        name,
+        &[
+            ("scenario", sched.scenario().label()),
+            ("seed", &sched.seed().to_string()),
+            ("fault_pct", &sched.fault_pct().to_string()),
+            ("upstream", &shared.config.upstream),
+        ],
+        1,
+    );
+    x.single(
+        "dsp_chaos_connections_total",
+        Counter,
+        "Client connections accepted.",
+        c.connections.load(Ordering::Relaxed),
+    );
+    let name = "dsp_chaos_faults_total";
+    x.family(
+        name,
+        Counter,
+        "Faults scheduled, by kind (kind=\"none\" counts clean pass-throughs).",
+    );
+    for (kind, counter) in FAULT_KINDS.iter().zip(&c.faults) {
+        x.sample(name, &[("kind", kind)], counter.load(Ordering::Relaxed));
+    }
+    x.single(
+        "dsp_chaos_upstream_connect_failures_total",
+        Counter,
+        "Dials to the upstream that failed.",
+        c.upstream_connect_failures.load(Ordering::Relaxed),
+    );
+    x.single(
+        "dsp_chaos_forwarded_bytes_total",
+        Counter,
+        "Response bytes forwarded to clients.",
+        c.forwarded_bytes.load(Ordering::Relaxed),
+    );
+    x.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::Scenario;
+
+    /// Every family with fixed counters, pinned byte for byte. The
+    /// uptime sample is wall-clock, so it is masked.
+    #[test]
+    fn exposition_matches_the_golden_file() {
+        let shared = Shared {
+            config: ChaosConfig {
+                listen: "127.0.0.1:0".into(),
+                upstream: "127.0.0.1:9201".into(),
+                admin: None,
+                schedule: Schedule::new(Scenario::Mixed, 7, 50),
+            },
+            counters: Counters::default(),
+            conn_seq: AtomicU64::new(0),
+            shutdown: AtomicBool::new(false),
+            started: Instant::now(),
+        };
+        let c = &shared.counters;
+        c.connections.store(12, Ordering::Relaxed);
+        for (i, counter) in c.faults.iter().enumerate() {
+            counter.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        c.upstream_connect_failures.store(2, Ordering::Relaxed);
+        c.forwarded_bytes.store(4096, Ordering::Relaxed);
+        let masked: String = render_metrics(&shared)
+            .lines()
+            .map(|l| match l.strip_prefix("dsp_chaos_uptime_seconds ") {
+                Some(_) => "dsp_chaos_uptime_seconds <uptime>\n".to_string(),
+                None => format!("{l}\n"),
+            })
+            .collect();
+        assert_eq!(masked, include_str!("../tests/golden/metrics.prom"));
+    }
 }

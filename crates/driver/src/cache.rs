@@ -65,26 +65,10 @@ use dsp_backend::{
 use dsp_bankalloc::Var;
 use dsp_ir::{ExecStats, InterpError, Program};
 use dsp_machine::{VliwInst, VliwProgram, Word};
+use dsp_trace::fnv1a;
 use dsp_workloads::runner;
 
 use crate::store::{DiskStats, DiskStore};
-
-/// FNV-1a hash of a byte string — the cache's content hash.
-///
-/// 64 bits is ample for the handful of sources a sweep sees; the cache
-/// is in-memory and process-local, so a collision could only arise
-/// within one run over attacker-free inputs.
-#[must_use]
-pub fn content_hash(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
 
 /// Stable index of a strategy (position in [`Strategy::ALL`]).
 fn strategy_index(strategy: Strategy) -> u8 {
@@ -103,7 +87,7 @@ fn config_key(config: CompileConfig) -> u64 {
 /// configuration, strategy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArtifactKey {
-    /// [`content_hash`] of the source text.
+    /// [`fnv1a`] of the source text.
     pub source: u64,
     /// Encoded [`CompileConfig`].
     pub config: u64,
@@ -116,7 +100,7 @@ impl ArtifactKey {
     #[must_use]
     pub fn new(source: &str, config: CompileConfig, strategy: Strategy) -> ArtifactKey {
         ArtifactKey {
-            source: content_hash(source.as_bytes()),
+            source: fnv1a(source.as_bytes()),
             config: config_key(config),
             strategy: strategy_index(strategy),
         }
@@ -210,7 +194,7 @@ pub type ReferenceGlobals = Vec<(String, Vec<Word>)>;
 /// Strategy-independent front half of the pipeline for one source:
 /// parsed IR, optimized IR, and lazily computed profile/reference runs.
 pub struct PreparedSource {
-    /// [`content_hash`] of the source text.
+    /// [`fnv1a`] of the source text.
     pub source_hash: u64,
     /// Front-end output (pre-optimization) — the reference
     /// interpreter's subject.
@@ -519,7 +503,7 @@ impl ArtifactCache {
     ///
     /// Returns the (cached) front-end error for unparsable sources.
     pub fn prepared(&self, source: &str) -> Result<(Arc<PreparedSource>, bool), CompileError> {
-        let hash = content_hash(source.as_bytes());
+        let hash = fnv1a(source.as_bytes());
         let cell = self.prepared.slot(hash);
         let mut fresh = false;
         let result = cell.get_or_init(|| {
@@ -727,14 +711,6 @@ mod tests {
     use super::*;
 
     const SRC: &str = "int out; void main() { out = 7; }";
-
-    #[test]
-    fn fnv_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(content_hash(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(content_hash(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(content_hash(b"foobar"), 0x8594_4171_f739_67e8);
-    }
 
     #[test]
     fn prepared_is_cached_by_content() {

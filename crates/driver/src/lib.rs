@@ -63,7 +63,7 @@ pub use engine::{
     EngineError, EngineOptions, MatrixRun,
 };
 pub use report::{
-    fnv1a, project_deterministic_json, sweep_json_prefix, sweep_json_tail, verify_job_digest,
+    project_deterministic_json, sweep_json_prefix, sweep_json_tail, verify_job_digest,
     with_job_digest, CacheFlags, JobReport, RunReport, StageTimes,
 };
 pub use store::{
@@ -74,4 +74,4 @@ pub use store::{
 pub use dsp_exec::{CancelToken, Executor, ExecutorStats, JobHandle, Priority, WaitOutcome};
 // Likewise the tracing vocabulary: engine callers parent their spans
 // and read back histograms through these.
-pub use dsp_trace::{SpanCtx, Tracer};
+pub use dsp_trace::{fnv1a, SpanCtx, Tracer};

@@ -5,6 +5,7 @@
 use std::time::Duration;
 
 use dsp_backend::Strategy;
+use dsp_trace::fnv1a;
 use dsp_workloads::runner::Measurement;
 use dsp_workloads::Kind;
 
@@ -425,19 +426,6 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// FNV-1a over `bytes` — the end-to-end checksum behind the
-/// `"digest"` field on streamed sweep-cell jobs (the same constants
-/// the router's hash ring and the chaos scheduler use).
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Append the end-to-end `"digest"` checksum field to a serialized
 /// job object: FNV-1a over the object's own bytes (surrounding
 /// whitespace trimmed, the digest field itself excluded), rendered as
@@ -670,6 +658,17 @@ mod tests {
         engine
             .run_matrix(&[bench], &[Strategy::Baseline, Strategy::CbPartition])
             .expect("fir sweep")
+    }
+
+    #[test]
+    fn cell_digest_is_pinned() {
+        // The router verifies this digest from another process: the
+        // absolute value is wire format, not an implementation detail.
+        let job = "{\"bench\": \"fir_8_4\", \"strategy\": \"cb\", \"cycles\": 42}";
+        assert_eq!(
+            with_job_digest(job),
+            "{\"bench\": \"fir_8_4\", \"strategy\": \"cb\", \"cycles\": 42, \"digest\": \"08fb8aa4bd0e5d21\"}"
+        );
     }
 
     #[test]

@@ -66,11 +66,7 @@ impl TestRng {
     /// `DUALBANK_PROPTEST_SEED` environment override).
     #[must_use]
     pub fn for_test(name: &str) -> TestRng {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in name.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        let h = dsp_trace::fnv1a(name.as_bytes());
         let extra = std::env::var("DUALBANK_PROPTEST_SEED")
             .ok()
             .and_then(|s| s.parse::<u64>().ok())

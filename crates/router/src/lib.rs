@@ -34,7 +34,7 @@ pub mod server;
 
 pub use metrics::RouterMetrics;
 pub use replica::{BreakerState, PooledConn, ReplicaSet, RetryBudget, Transition, UpstreamPolicy};
-pub use ring::{fnv1a, shard_key, Ring};
+pub use ring::{shard_key, Ring};
 pub use server::{Router, RouterConfig, RouterHandle};
 
 use std::time::Duration;

@@ -1,5 +1,6 @@
 //! Router telemetry in the Prometheus text exposition format
-//! (`GET /metrics` on the router).
+//! (`GET /metrics` on the router), written through the shared
+//! [`Exposition`] writer.
 //!
 //! The families the scale-out tier is operated by:
 //!
@@ -15,12 +16,12 @@
 //!   through the shared `dsp-trace` tracer (absent with `--no-trace`).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use dsp_trace::{families, HistogramSnapshot, Tracer};
+use dsp_trace::expo::{Exposition, Kind};
+use dsp_trace::{families, Tracer};
 
 use crate::replica::{ReplicaSet, RetryBudget};
 
@@ -159,71 +160,55 @@ impl RouterMetrics {
         queue_depth: usize,
         queue_capacity: usize,
     ) -> String {
-        let mut out = String::with_capacity(4096);
-        let gauge_head = |out: &mut String, name: &str, help: &str| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-        };
-        let counter_head = |out: &mut String, name: &str, help: &str| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-        };
-
-        gauge_head(&mut out, "dsp_router_up", "1 while the router runs.");
-        let _ = writeln!(out, "dsp_router_up 1");
-        gauge_head(
-            &mut out,
+        use Kind::{Counter, Gauge};
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let mut x = Exposition::new();
+        x.single("dsp_router_up", Gauge, "1 while the router runs.", 1);
+        x.single(
             "dsp_router_uptime_seconds",
+            Gauge,
             "Seconds since the router started.",
+            format_args!("{:.3}", self.started.elapsed().as_secs_f64()),
         );
-        let _ = writeln!(
-            out,
-            "dsp_router_uptime_seconds {:.3}",
-            self.started.elapsed().as_secs_f64()
-        );
-        gauge_head(
-            &mut out,
+        x.single(
             "dsp_router_queue_depth",
+            Gauge,
             "Connections waiting in the accept queue.",
+            queue_depth,
         );
-        let _ = writeln!(out, "dsp_router_queue_depth {queue_depth}");
-        gauge_head(
-            &mut out,
+        x.single(
             "dsp_router_queue_capacity",
+            Gauge,
             "Accept-queue capacity (pushes beyond this are 503s).",
+            queue_capacity,
         );
-        let _ = writeln!(out, "dsp_router_queue_capacity {queue_capacity}");
 
-        gauge_head(
-            &mut out,
-            "dsp_router_upstream_up",
+        let name = "dsp_router_upstream_up";
+        x.family(
+            name,
+            Gauge,
             "1 while the replica is in the hash ring (ready), 0 while ejected.",
         );
         for i in 0..set.len() {
-            let _ = writeln!(
-                out,
-                "dsp_router_upstream_up{{replica=\"{}\"}} {}",
-                set.addr(i),
-                u8::from(set.is_up(i))
-            );
+            x.sample(name, &[("replica", set.addr(i))], u8::from(set.is_up(i)));
         }
-        gauge_head(
-            &mut out,
-            "dsp_router_upstream_info",
+        let name = "dsp_router_upstream_info";
+        x.family(
+            name,
+            Gauge,
             "Announced replica identity per upstream address.",
         );
         for i in 0..set.len() {
+            // The id comes from the replica's `X-Dsp-Replica` header:
+            // the writer escapes it like every other label value.
             let id = set.announced_id(i).unwrap_or_default();
-            let _ = writeln!(
-                out,
-                "dsp_router_upstream_info{{replica=\"{}\",id=\"{id}\"}} 1",
-                set.addr(i)
-            );
+            x.sample(name, &[("replica", set.addr(i)), ("id", &id)], 1);
         }
 
-        counter_head(
-            &mut out,
-            "dsp_router_requests_total",
+        let name = "dsp_router_requests_total";
+        x.family(
+            name,
+            Counter,
             "Upstream attempts by replica and status (connect failures are status=\"error\").",
         );
         for ((replica, status), n) in self
@@ -232,14 +217,12 @@ impl RouterMetrics {
             .expect("metrics mutex poisoned")
             .iter()
         {
-            let _ = writeln!(
-                out,
-                "dsp_router_requests_total{{replica=\"{replica}\",status=\"{status}\"}} {n}"
-            );
+            x.sample(name, &[("replica", replica), ("status", status)], n);
         }
-        counter_head(
-            &mut out,
-            "dsp_router_client_requests_total",
+        let name = "dsp_router_client_requests_total";
+        x.family(
+            name,
+            Counter,
             "Finished client-facing requests by endpoint and status.",
         );
         for ((endpoint, status), n) in self
@@ -248,162 +231,122 @@ impl RouterMetrics {
             .expect("metrics mutex poisoned")
             .iter()
         {
-            let _ = writeln!(
-                out,
-                "dsp_router_client_requests_total{{endpoint=\"{endpoint}\",status=\"{status}\"}} {n}"
-            );
+            let status = status.to_string();
+            x.sample(name, &[("endpoint", endpoint), ("status", &status)], n);
         }
 
         for (name, help, n) in [
             (
                 "dsp_router_retries_total",
                 "Requests replayed onto another replica after a retryable failure.",
-                self.retries_total.load(Ordering::Relaxed),
+                load(&self.retries_total),
             ),
             (
                 "dsp_router_retry_budget_exhausted_total",
                 "Retries refused because the token bucket was empty.",
-                self.retry_budget_exhausted_total.load(Ordering::Relaxed),
+                load(&self.retry_budget_exhausted_total),
             ),
             (
                 "dsp_router_hash_moves_total",
                 "Ring membership transitions (ejections + readmissions); each remaps one replica's shard.",
-                set.hash_moves_total.load(Ordering::Relaxed),
+                load(&set.hash_moves_total),
             ),
             (
                 "dsp_router_probes_total",
                 "Readiness probes answered ready.",
-                set.probes_ok_total.load(Ordering::Relaxed),
+                load(&set.probes_ok_total),
             ),
             (
                 "dsp_router_probe_failures_total",
                 "Readiness probes that failed or answered not-ready.",
-                set.probes_failed_total.load(Ordering::Relaxed),
+                load(&set.probes_failed_total),
             ),
             (
                 "dsp_router_rejected_total",
                 "Connections answered 503 because the accept queue was full.",
-                self.rejected_total.load(Ordering::Relaxed),
+                load(&self.rejected_total),
             ),
             (
                 "dsp_router_no_upstream_total",
                 "Requests answered 503 because no replica was ready.",
-                self.no_upstream_total.load(Ordering::Relaxed),
+                load(&self.no_upstream_total),
             ),
             (
                 "dsp_router_sweep_truncated_total",
                 "Fanned-out sweeps closed with truncated: true after cell failure.",
-                self.sweep_truncations_total.load(Ordering::Relaxed),
+                load(&self.sweep_truncations_total),
             ),
             (
                 "dsp_router_breaker_fast_fail_total",
                 "Upstream attempts fast-failed by an open circuit breaker.",
-                self.breaker_fast_fail_total.load(Ordering::Relaxed),
+                load(&self.breaker_fast_fail_total),
             ),
             (
                 "dsp_router_pool_reaped_total",
                 "Pooled keep-alive connections retired after idling past --pool-idle-ms.",
-                set.pool_reaped_total.load(Ordering::Relaxed),
+                load(&set.pool_reaped_total),
             ),
             (
                 "dsp_router_read_deadline_total",
                 "Client requests whose bytes trickled past the read deadline (408).",
-                self.read_deadline_total.load(Ordering::Relaxed),
+                load(&self.read_deadline_total),
             ),
             (
                 "dsp_router_cell_digest_mismatch_total",
                 "Sweep cells whose end-to-end digest failed verification at fan-in.",
-                self.cell_digest_mismatch_total.load(Ordering::Relaxed),
+                load(&self.cell_digest_mismatch_total),
             ),
         ] {
-            counter_head(&mut out, name, help);
-            let _ = writeln!(out, "{name} {n}");
+            x.single(name, Counter, help, n);
         }
-        gauge_head(
-            &mut out,
-            "dsp_router_breaker_state",
+        let name = "dsp_router_breaker_state";
+        x.family(
+            name,
+            Gauge,
             "Per-replica circuit breaker: 0 closed, 1 half-open, 2 open.",
         );
         for i in 0..set.len() {
-            let _ = writeln!(
-                out,
-                "dsp_router_breaker_state{{replica=\"{}\"}} {}",
-                set.addr(i),
-                set.breaker_state(i).gauge()
+            x.sample(
+                name,
+                &[("replica", set.addr(i))],
+                set.breaker_state(i).gauge(),
             );
         }
-        counter_head(
-            &mut out,
-            "dsp_router_breaker_transitions_total",
+        let name = "dsp_router_breaker_transitions_total";
+        x.family(
+            name,
+            Counter,
             "Circuit-breaker state transitions by replica and target state.",
         );
         for i in 0..set.len() {
             let [open, half, closed] = set.breaker_transitions(i);
             for (to, n) in [("open", open), ("half-open", half), ("closed", closed)] {
-                let _ = writeln!(
-                    out,
-                    "dsp_router_breaker_transitions_total{{replica=\"{}\",to=\"{to}\"}} {n}",
-                    set.addr(i)
-                );
+                x.sample(name, &[("replica", set.addr(i)), ("to", to)], n);
             }
         }
-        gauge_head(
-            &mut out,
+        x.single(
             "dsp_router_retry_budget_tokens",
+            Gauge,
             "Retry tokens currently available.",
+            format_args!("{:.3}", budget.tokens()),
         );
-        let _ = writeln!(out, "dsp_router_retry_budget_tokens {:.3}", budget.tokens());
 
-        self.render_trace_histograms(&mut out);
-        out
-    }
-
-    fn render_trace_histograms(&self, out: &mut String) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let http = self.tracer.family_snapshot(families::HTTP_REQUEST);
-        if !http.is_empty() {
-            let name = "dsp_router_request_seconds";
-            let _ = writeln!(
-                out,
-                "# HELP {name} End-to-end routed request latency by endpoint and status."
-            );
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            for (label, snap) in &http {
-                let (endpoint, status) = label.split_once('|').unwrap_or((label.as_str(), ""));
-                let labels = format!("endpoint=\"{endpoint}\",status=\"{status}\"");
-                render_log_histogram(out, name, &labels, snap);
-            }
-        }
-        let upstream = self.tracer.family_snapshot(families::UPSTREAM);
-        if !upstream.is_empty() {
-            let name = "dsp_router_upstream_seconds";
-            let _ = writeln!(out, "# HELP {name} Upstream attempt latency by replica.");
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            for (label, snap) in &upstream {
-                let labels = format!("replica=\"{label}\"");
-                render_log_histogram(out, name, &labels, snap);
-            }
-        }
-    }
-}
-
-/// One log-bucketed tracer histogram in Prometheus exposition form
-/// (same rendering as `dsp-serve`'s families).
-fn render_log_histogram(out: &mut String, name: &str, labels: &str, snap: &HistogramSnapshot) {
-    let mut cum = 0u64;
-    for (i, n) in snap.buckets.iter().enumerate() {
-        cum += n;
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{{labels},le=\"{}\"}} {cum}",
-            dsp_trace::bucket_bound_seconds(i)
+        x.tracer_family(
+            &self.tracer,
+            families::HTTP_REQUEST,
+            "dsp_router_request_seconds",
+            "End-to-end routed request latency by endpoint and status.",
+            &["endpoint", "status"],
         );
+        x.tracer_family(
+            &self.tracer,
+            families::UPSTREAM,
+            "dsp_router_upstream_seconds",
+            "Upstream attempt latency by replica.",
+            &["replica"],
+        );
+        x.finish()
     }
-    let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {}", snap.count);
-    let _ = writeln!(out, "{name}_sum{{{labels}}} {:.6}", snap.sum_seconds());
-    let _ = writeln!(out, "{name}_count{{{labels}}} {}", snap.count);
 }
 
 #[cfg(test)]
@@ -481,6 +424,58 @@ mod tests {
         let text = untraced.render(&set, &budget, 0, 64);
         assert!(!text.contains("dsp_router_request_seconds"), "{text}");
         assert!(!text.contains("dsp_router_upstream_seconds"), "{text}");
+    }
+
+    /// Every family with fixed counters and an enabled tracer, pinned
+    /// byte for byte. The uptime sample is wall-clock, so it is masked.
+    #[test]
+    fn exposition_matches_the_golden_file() {
+        let set = sample_set();
+        set.observe(1, false);
+        set.observe(1, false); // eject replica 1
+        set.set_announced_id(0, "r1");
+        set.probes_ok_total.store(4, Ordering::Relaxed);
+        set.probes_failed_total.store(2, Ordering::Relaxed);
+        let budget = RetryBudget::new(8.0, 0.1);
+        let m = RouterMetrics::new(Tracer::new(64));
+        m.record_request("compile", 200, Duration::from_millis(2));
+        m.record_request("sweep", 503, Duration::from_micros(40));
+        m.record_upstream("127.0.0.1:9201", Some(200), Duration::from_millis(1));
+        m.record_upstream("127.0.0.1:9202", None, Duration::from_micros(700));
+        m.retries_total.store(3, Ordering::Relaxed);
+        m.retry_budget_exhausted_total.store(1, Ordering::Relaxed);
+        m.rejected_total.store(2, Ordering::Relaxed);
+        m.no_upstream_total.store(1, Ordering::Relaxed);
+        m.sweep_truncations_total.store(1, Ordering::Relaxed);
+        m.breaker_fast_fail_total.store(5, Ordering::Relaxed);
+        m.read_deadline_total.store(1, Ordering::Relaxed);
+        m.cell_digest_mismatch_total.store(1, Ordering::Relaxed);
+        let text = m.render(&set, &budget, 1, 64);
+        let masked: String = text
+            .lines()
+            .map(|l| match l.strip_prefix("dsp_router_uptime_seconds ") {
+                Some(_) => "dsp_router_uptime_seconds <uptime>\n".to_string(),
+                None => format!("{l}\n"),
+            })
+            .collect();
+        assert_eq!(masked, include_str!("../tests/golden/metrics.prom"));
+    }
+
+    #[test]
+    fn announced_ids_are_escaped_in_the_exposition() {
+        // The id is whatever a replica's `X-Dsp-Replica` header said:
+        // bytes from outside the process must not corrupt the scrape.
+        let set = sample_set();
+        set.set_announced_id(0, "a\"b\\c");
+        let m = RouterMetrics::new(Tracer::disabled());
+        let text = m.render(&set, &RetryBudget::new(8.0, 0.1), 0, 64);
+        let families = dsp_obs::prom::parse(&text);
+        let info = families
+            .iter()
+            .find(|f| f.name == "dsp_router_upstream_info")
+            .expect("upstream info family");
+        let ids: Vec<Option<&str>> = info.samples.iter().map(|s| s.label("id")).collect();
+        assert_eq!(ids, [Some("a\"b\\c"), Some("")], "{text}");
     }
 
     #[test]

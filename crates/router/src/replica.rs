@@ -745,7 +745,7 @@ mod tests {
         s.observe(0, false);
         let half = s.ring();
         for k in 0..200u64 {
-            let key = crate::ring::fnv1a(&k.to_le_bytes());
+            let key = dsp_trace::fnv1a(&k.to_le_bytes());
             assert_eq!(half.route(key), Some(1));
             assert!(full.route(key).is_some());
         }

@@ -15,23 +15,12 @@
 //! platforms, so a router restart reproduces the same assignment and a
 //! fleet of routers agrees without coordination.
 
+use dsp_trace::fnv1a;
+
 /// Virtual nodes per replica. 64 keeps the largest/smallest shard
 /// ratio under ~2× for small fleets while the ring stays tiny
 /// (`replicas × 64` points, binary-searched per request).
 pub const VNODES: usize = 64;
-
-/// 64-bit FNV-1a — the same stable, dependency-free hash the artifact
-/// cache keys are compared by conceptually: identical bytes, identical
-/// shard, on every platform.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The shard key of one unit of cacheable work — the routing-side
 /// mirror of the engine's artifact cache key (source, config,
@@ -208,5 +197,21 @@ mod tests {
         // byte keeps the key injective over its two fields.
         assert_ne!(shard_key("x", "cb"), shard_key("bx", "c"));
         assert_eq!(shard_key("src", "cb"), shard_key("src", "cb"));
+    }
+
+    #[test]
+    fn placement_is_pinned_to_absolute_owners() {
+        // Relative properties above survive a changed hash; a restarted
+        // fleet's warm caches do not. Pin the owners themselves.
+        let ring = Ring::build(&labels(3), &[0, 1, 2]);
+        let owners: Vec<usize> = (0..8)
+            .map(|i| {
+                let source = format!("int x; void main() {{ x = {i}; }}");
+                let strategy = ["cb", "dup", "ideal", "single"][i % 4];
+                ring.route(shard_key(&source, strategy)).unwrap()
+            })
+            .collect();
+        assert_eq!(owners, [2, 2, 0, 0, 2, 2, 0, 2]);
+        assert_eq!(shard_key("x", "cb"), 0x9b90_ef90_d9e8_a2df);
     }
 }

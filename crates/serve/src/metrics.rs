@@ -1,86 +1,32 @@
 //! Server telemetry rendered in the Prometheus text exposition format
-//! (`GET /metrics`).
+//! (`GET /metrics`) through the shared [`Exposition`] writer.
 //!
 //! Everything is lock-free counters except the per-(endpoint, status)
 //! request map, which sits behind a short-lived mutex — `/metrics`
 //! scrapes are rare next to request traffic. Cache counters are not
 //! mirrored here: the scrape snapshots [`CacheStats`] straight from
-//! the engine, so the two views can never drift. Likewise the
-//! `dsp_serve_*_seconds` histogram families (request latency by
-//! endpoint and status, executor queue wait by class, pipeline stage
-//! duration by stage) render straight from the shared tracer's
-//! log-bucketed histograms, and are absent entirely when tracing is
-//! disabled — mirroring how the disk-cache families are absent
-//! without a store.
+//! the engine, so the two views can never drift. Likewise every
+//! latency histogram — `dsp_serve_http_request_seconds` (request
+//! latency by endpoint and status), `dsp_serve_exec_queue_wait_seconds`
+//! (queue wait by class), and `dsp_serve_stage_seconds` (pipeline stage
+//! duration) — renders straight from the shared tracer's log-bucketed
+//! histograms, and is absent entirely when tracing is disabled —
+//! mirroring how the disk-cache families are absent without a store.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dsp_driver::{CacheStats, ExecutorStats, Tracer};
-use dsp_trace::{families, HistogramSnapshot};
-
-/// Histogram bucket upper bounds, in seconds.
-const BUCKETS: [f64; 9] = [0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.5, 1.0, 5.0];
-
-/// A fixed-bucket latency histogram (Prometheus `histogram` type).
-#[derive(Default)]
-pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS.len()],
-    count: AtomicU64,
-    sum_micros: AtomicU64,
-}
-
-impl Histogram {
-    /// Record one observation.
-    pub fn observe(&self, d: Duration) {
-        let secs = d.as_secs_f64();
-        for (i, &bound) in BUCKETS.iter().enumerate() {
-            if secs <= bound {
-                self.buckets[i].fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(1, Ordering::Relaxed);
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        self.sum_micros
-            .fetch_add(d.as_micros() as u64, Ordering::Relaxed);
-    }
-
-    /// Observations recorded so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    fn render(&self, out: &mut String, name: &str, endpoint: &str) {
-        for (i, &bound) in BUCKETS.iter().enumerate() {
-            let n = self.buckets[i].load(Ordering::Relaxed);
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{endpoint=\"{endpoint}\",le=\"{bound}\"}} {n}"
-            );
-        }
-        let count = self.count.load(Ordering::Relaxed);
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{endpoint=\"{endpoint}\",le=\"+Inf\"}} {count}"
-        );
-        let sum = self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6;
-        let _ = writeln!(out, "{name}_sum{{endpoint=\"{endpoint}\"}} {sum:.6}");
-        let _ = writeln!(out, "{name}_count{{endpoint=\"{endpoint}\"}} {count}");
-    }
-}
+use dsp_trace::expo::{Exposition, Kind};
+use dsp_trace::families;
 
 /// All server counters.
 pub struct Metrics {
     started: Instant,
     /// Requests by (normalized endpoint, status code).
     requests: Mutex<BTreeMap<(&'static str, u16), u64>>,
-    /// End-to-end handling latency of the two compute endpoints.
-    compile_latency: Histogram,
-    sweep_latency: Histogram,
     /// Connections accepted (including ones later rejected with 503).
     pub connections_total: AtomicU64,
     /// Connections answered 503 because the queue was full.
@@ -109,8 +55,6 @@ impl Metrics {
         Metrics {
             started: Instant::now(),
             requests: Mutex::new(BTreeMap::new()),
-            compile_latency: Histogram::default(),
-            sweep_latency: Histogram::default(),
             connections_total: AtomicU64::new(0),
             rejected_total: AtomicU64::new(0),
             timeouts_total: AtomicU64::new(0),
@@ -137,8 +81,7 @@ impl Metrics {
         }
     }
 
-    /// Count one finished request and, for the compute endpoints,
-    /// record its latency.
+    /// Count one finished request and feed its latency to the tracer.
     ///
     /// # Panics
     ///
@@ -150,11 +93,6 @@ impl Metrics {
             .expect("metrics mutex poisoned")
             .entry((endpoint, status))
             .or_insert(0) += 1;
-        match endpoint {
-            "compile" => self.compile_latency.observe(latency),
-            "sweep" => self.sweep_latency.observe(latency),
-            _ => {}
-        }
         if self.tracer.is_enabled() {
             self.tracer.observe(
                 families::HTTP_REQUEST,
@@ -203,379 +141,279 @@ impl Metrics {
         ready: bool,
         replica: Option<&str>,
     ) -> String {
-        let mut out = String::with_capacity(4096);
-        let mut gauge = |name: &str, help: &str, value: String| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {value}");
-        };
-        gauge(
-            "dsp_serve_up",
-            "1 while the server is running.",
-            "1".to_string(),
-        );
-        gauge(
+        use Kind::{Counter, Gauge};
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let mut x = Exposition::new();
+        x.single("dsp_serve_up", Gauge, "1 while the server is running.", 1);
+        x.single(
             "dsp_serve_ready",
+            Gauge,
             "1 while accepting work, 0 while draining (mirrors /readyz).",
-            u8::from(ready).to_string(),
+            u8::from(ready),
         );
-        gauge(
+        x.single(
             "dsp_serve_uptime_seconds",
+            Gauge,
             "Seconds since the server started.",
-            format!("{:.3}", self.started.elapsed().as_secs_f64()),
+            format_args!("{:.3}", self.started.elapsed().as_secs_f64()),
         );
-        gauge(
-            "dsp_serve_queue_depth",
-            "Connections waiting in the accept queue.",
-            queue_depth.to_string(),
-        );
-        gauge(
-            "dsp_serve_queue_capacity",
-            "Accept-queue capacity (pushes beyond this are 503s).",
-            queue_capacity.to_string(),
-        );
-        gauge(
-            "dsp_serve_workers",
-            "Worker threads serving connections.",
-            workers.to_string(),
-        );
-        gauge(
-            "dsp_serve_workers_busy",
-            "Workers currently handling a connection.",
-            self.workers_busy.load(Ordering::Relaxed).to_string(),
-        );
+        for (name, help, n) in [
+            (
+                "dsp_serve_queue_depth",
+                "Connections waiting in the accept queue.",
+                queue_depth,
+            ),
+            (
+                "dsp_serve_queue_capacity",
+                "Accept-queue capacity (pushes beyond this are 503s).",
+                queue_capacity,
+            ),
+            (
+                "dsp_serve_workers",
+                "Worker threads serving connections.",
+                workers,
+            ),
+            (
+                "dsp_serve_workers_busy",
+                "Workers currently handling a connection.",
+                self.workers_busy.load(Ordering::Relaxed),
+            ),
+        ] {
+            x.single(name, Gauge, help, n);
+        }
         if let Some(id) = replica {
             let name = "dsp_serve_replica_info";
-            let _ = writeln!(out, "# HELP {name} This replica's --replica-id identity.");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name}{{replica=\"{id}\"}} 1");
+            x.family(name, Gauge, "This replica's --replica-id identity.");
+            x.sample(name, &[("replica", id)], 1);
         }
 
-        let counter_head = |out: &mut String, name: &str, help: &str| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
-        };
-        counter_head(
-            &mut out,
-            "dsp_serve_connections_total",
-            "TCP connections accepted.",
-        );
-        let _ = writeln!(
-            out,
-            "dsp_serve_connections_total {}",
-            self.connections_total.load(Ordering::Relaxed)
-        );
-        counter_head(
-            &mut out,
-            "dsp_serve_rejected_total",
-            "Connections answered 503 because the queue was full.",
-        );
-        let _ = writeln!(
-            out,
-            "dsp_serve_rejected_total {}",
-            self.rejected_total.load(Ordering::Relaxed)
-        );
-        counter_head(
-            &mut out,
-            "dsp_serve_deadline_timeouts_total",
-            "Compute requests answered 504 (per-request deadline exceeded).",
-        );
-        let _ = writeln!(
-            out,
-            "dsp_serve_deadline_timeouts_total {}",
-            self.timeouts_total.load(Ordering::Relaxed)
-        );
-        counter_head(
-            &mut out,
-            "dsp_serve_sweep_truncated_total",
-            "Streamed sweeps cut short by the deadline mid-response.",
-        );
-        let _ = writeln!(
-            out,
-            "dsp_serve_sweep_truncated_total {}",
-            self.truncations_total.load(Ordering::Relaxed)
-        );
-        counter_head(
-            &mut out,
-            "dsp_serve_read_deadline_total",
-            "Requests whose bytes trickled past the read deadline (408).",
-        );
-        let _ = writeln!(
-            out,
-            "dsp_serve_read_deadline_total {}",
-            self.read_deadline_total.load(Ordering::Relaxed)
-        );
+        for (name, help, n) in [
+            (
+                "dsp_serve_connections_total",
+                "TCP connections accepted.",
+                load(&self.connections_total),
+            ),
+            (
+                "dsp_serve_rejected_total",
+                "Connections answered 503 because the queue was full.",
+                load(&self.rejected_total),
+            ),
+            (
+                "dsp_serve_deadline_timeouts_total",
+                "Compute requests answered 504 (per-request deadline exceeded).",
+                load(&self.timeouts_total),
+            ),
+            (
+                "dsp_serve_sweep_truncated_total",
+                "Streamed sweeps cut short by the deadline mid-response.",
+                load(&self.truncations_total),
+            ),
+            (
+                "dsp_serve_read_deadline_total",
+                "Requests whose bytes trickled past the read deadline (408).",
+                load(&self.read_deadline_total),
+            ),
+        ] {
+            x.single(name, Counter, help, n);
+        }
 
-        counter_head(
-            &mut out,
-            "dsp_serve_requests_total",
+        let name = "dsp_serve_requests_total";
+        x.family(
+            name,
+            Counter,
             "Finished HTTP requests by endpoint and status.",
         );
         for ((endpoint, status), n) in self.requests.lock().expect("metrics mutex poisoned").iter()
         {
-            let _ = writeln!(
-                out,
-                "dsp_serve_requests_total{{endpoint=\"{endpoint}\",status=\"{status}\"}} {n}"
-            );
+            let status = status.to_string();
+            x.sample(name, &[("endpoint", endpoint), ("status", &status)], n);
         }
 
-        let name = "dsp_serve_request_duration_seconds";
-        let _ = writeln!(
-            out,
-            "# HELP {name} End-to-end handling latency of compute endpoints."
-        );
-        let _ = writeln!(out, "# TYPE {name} histogram");
-        self.compile_latency.render(&mut out, name, "compile");
-        self.sweep_latency.render(&mut out, name, "sweep");
-
-        counter_head(
-            &mut out,
-            "dsp_serve_cache_hits_total",
-            "Engine artifact-cache hits by layer.",
-        );
-        for (layer, n) in [
-            ("prepared", cache.prepared_hits),
-            ("profile", cache.profile_hits),
-            ("reference", cache.reference_hits),
-            ("artifact", cache.artifact_hits),
+        for (name, kind, help, layers) in [
+            (
+                "dsp_serve_cache_hits_total",
+                Counter,
+                "Engine artifact-cache hits by layer.",
+                &[
+                    ("prepared", cache.prepared_hits),
+                    ("profile", cache.profile_hits),
+                    ("reference", cache.reference_hits),
+                    ("artifact", cache.artifact_hits),
+                ][..],
+            ),
+            (
+                "dsp_serve_cache_misses_total",
+                Counter,
+                "Engine artifact-cache misses by layer.",
+                &[
+                    ("prepared", cache.prepared_misses),
+                    ("profile", cache.profile_misses),
+                    ("reference", cache.reference_misses),
+                    ("artifact", cache.artifact_misses),
+                ],
+            ),
+            (
+                "dsp_serve_cache_evictions_total",
+                Counter,
+                "Engine artifact-cache LRU evictions by layer.",
+                &[
+                    ("prepared", cache.prepared_evictions),
+                    ("artifact", cache.artifact_evictions),
+                ],
+            ),
+            (
+                "dsp_serve_cache_evicted_bytes_total",
+                Counter,
+                "Estimated bytes released by cache evictions, by layer.",
+                &[
+                    ("prepared", cache.prepared_evicted_bytes),
+                    ("artifact", cache.artifact_evicted_bytes),
+                ],
+            ),
+            (
+                "dsp_serve_cache_resident",
+                Gauge,
+                "Entries resident in the cache by layer.",
+                &[
+                    ("prepared", resident.0 as u64),
+                    ("artifact", resident.1 as u64),
+                ],
+            ),
+            (
+                "dsp_serve_cache_bytes",
+                Gauge,
+                "Estimated bytes resident in the cache by layer.",
+                &[
+                    ("prepared", cache.prepared_bytes),
+                    ("artifact", cache.artifact_bytes),
+                ],
+            ),
         ] {
-            let _ = writeln!(out, "dsp_serve_cache_hits_total{{layer=\"{layer}\"}} {n}");
+            x.family(name, kind, help);
+            for (layer, n) in layers {
+                x.sample(name, &[("layer", layer)], n);
+            }
         }
-        counter_head(
-            &mut out,
-            "dsp_serve_cache_misses_total",
-            "Engine artifact-cache misses by layer.",
-        );
-        for (layer, n) in [
-            ("prepared", cache.prepared_misses),
-            ("profile", cache.profile_misses),
-            ("reference", cache.reference_misses),
-            ("artifact", cache.artifact_misses),
-        ] {
-            let _ = writeln!(out, "dsp_serve_cache_misses_total{{layer=\"{layer}\"}} {n}");
-        }
-        counter_head(
-            &mut out,
-            "dsp_serve_cache_evictions_total",
-            "Engine artifact-cache LRU evictions by layer.",
-        );
-        for (layer, n) in [
-            ("prepared", cache.prepared_evictions),
-            ("artifact", cache.artifact_evictions),
-        ] {
-            let _ = writeln!(
-                out,
-                "dsp_serve_cache_evictions_total{{layer=\"{layer}\"}} {n}"
-            );
-        }
-        counter_head(
-            &mut out,
-            "dsp_serve_cache_evicted_bytes_total",
-            "Estimated bytes released by cache evictions, by layer.",
-        );
-        for (layer, n) in [
-            ("prepared", cache.prepared_evicted_bytes),
-            ("artifact", cache.artifact_evicted_bytes),
-        ] {
-            let _ = writeln!(
-                out,
-                "dsp_serve_cache_evicted_bytes_total{{layer=\"{layer}\"}} {n}"
-            );
-        }
-        let name = "dsp_serve_cache_resident";
-        let _ = writeln!(out, "# HELP {name} Entries resident in the cache by layer.");
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name}{{layer=\"prepared\"}} {}", resident.0);
-        let _ = writeln!(out, "{name}{{layer=\"artifact\"}} {}", resident.1);
-        let name = "dsp_serve_cache_bytes";
-        let _ = writeln!(
-            out,
-            "# HELP {name} Estimated bytes resident in the cache by layer."
-        );
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(out, "{name}{{layer=\"prepared\"}} {}", cache.prepared_bytes);
-        let _ = writeln!(out, "{name}{{layer=\"artifact\"}} {}", cache.artifact_bytes);
-
-        let gauge_head = |out: &mut String, name: &str, help: &str| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-        };
 
         // Disk-tier families: only present when a persistent store is
         // configured, so dashboards can tell "no disk" from "disk idle".
         if let Some(disk) = &cache.disk {
-            for (name, help, n) in [
+            for (name, kind, help, n) in [
                 (
                     "dsp_serve_cache_disk_hits_total",
+                    Counter,
                     "Artifacts rehydrated from the on-disk store.",
                     disk.hits,
                 ),
                 (
                     "dsp_serve_cache_disk_misses_total",
+                    Counter,
                     "On-disk store lookups that found no entry.",
                     disk.misses,
                 ),
                 (
                     "dsp_serve_cache_disk_errors_total",
+                    Counter,
                     "Disk-store IO failures absorbed (degraded to in-memory).",
                     disk.errors,
                 ),
                 (
                     "dsp_serve_cache_disk_quarantined_total",
+                    Counter,
                     "Corrupt on-disk entries moved to quarantine.",
                     disk.quarantined,
                 ),
                 (
                     "dsp_serve_cache_disk_evictions_total",
+                    Counter,
                     "On-disk entries dropped by the byte-budget LRU.",
                     disk.evictions,
                 ),
                 (
                     "dsp_serve_cache_disk_evicted_bytes_total",
+                    Counter,
                     "Bytes released by on-disk evictions.",
                     disk.evicted_bytes,
                 ),
+                (
+                    "dsp_serve_cache_disk_bytes",
+                    Gauge,
+                    "Bytes resident in the on-disk store.",
+                    disk.bytes,
+                ),
+                (
+                    "dsp_serve_cache_disk_entries",
+                    Gauge,
+                    "Entries resident in the on-disk store.",
+                    disk.entries,
+                ),
             ] {
-                counter_head(&mut out, name, help);
-                let _ = writeln!(out, "{name} {n}");
+                x.single(name, kind, help, n);
             }
-            gauge_head(
-                &mut out,
-                "dsp_serve_cache_disk_bytes",
-                "Bytes resident in the on-disk store.",
-            );
-            let _ = writeln!(out, "dsp_serve_cache_disk_bytes {}", disk.bytes);
-            gauge_head(
-                &mut out,
-                "dsp_serve_cache_disk_entries",
-                "Entries resident in the on-disk store.",
-            );
-            let _ = writeln!(out, "dsp_serve_cache_disk_entries {}", disk.entries);
         }
-        gauge_head(
-            &mut out,
+        x.single(
             "dsp_serve_exec_workers",
+            Gauge,
             "Threads in the shared compute executor.",
+            exec.workers,
         );
-        let _ = writeln!(out, "dsp_serve_exec_workers {}", exec.workers);
-        gauge_head(
-            &mut out,
+        x.single(
             "dsp_serve_exec_busy",
+            Gauge,
             "Executor threads currently running a job.",
+            exec.busy,
         );
-        let _ = writeln!(out, "dsp_serve_exec_busy {}", exec.busy);
         let name = "dsp_serve_exec_queue_depth";
-        let _ = writeln!(
-            out,
-            "# HELP {name} Jobs queued in the executor by priority."
+        x.family(name, Gauge, "Jobs queued in the executor by priority.");
+        x.sample(
+            name,
+            &[("priority", "interactive")],
+            exec.queued_interactive,
         );
-        let _ = writeln!(out, "# TYPE {name} gauge");
-        let _ = writeln!(
-            out,
-            "{name}{{priority=\"interactive\"}} {}",
-            exec.queued_interactive
+        x.sample(name, &[("priority", "batch")], exec.queued_batch);
+        let name = "dsp_serve_exec_jobs_total";
+        x.family(name, Counter, "Jobs the executor has run, by priority.");
+        x.sample(
+            name,
+            &[("priority", "interactive")],
+            exec.executed_interactive,
         );
-        let _ = writeln!(out, "{name}{{priority=\"batch\"}} {}", exec.queued_batch);
-        counter_head(
-            &mut out,
-            "dsp_serve_exec_jobs_total",
-            "Jobs the executor has run, by priority.",
-        );
-        let _ = writeln!(
-            out,
-            "dsp_serve_exec_jobs_total{{priority=\"interactive\"}} {}",
-            exec.executed_interactive
-        );
-        let _ = writeln!(
-            out,
-            "dsp_serve_exec_jobs_total{{priority=\"batch\"}} {}",
-            exec.executed_batch
-        );
-        counter_head(
-            &mut out,
+        x.sample(name, &[("priority", "batch")], exec.executed_batch);
+        x.single(
             "dsp_serve_exec_cancelled_total",
+            Counter,
             "Jobs discarded from the executor queue by cancellation.",
+            exec.cancelled,
         );
-        let _ = writeln!(out, "dsp_serve_exec_cancelled_total {}", exec.cancelled);
-        self.render_trace_histograms(&mut out);
-        out
-    }
 
-    /// Render the tracer-fed histogram families. Nothing renders when
-    /// tracing is disabled (and a family with no observations yet is
-    /// omitted, like an endpoint that has seen no requests).
-    fn render_trace_histograms(&self, out: &mut String) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        let http = self.tracer.family_snapshot(families::HTTP_REQUEST);
-        if !http.is_empty() {
-            let name = "dsp_serve_http_request_seconds";
-            let _ = writeln!(
-                out,
-                "# HELP {name} End-to-end HTTP request latency by endpoint and status."
-            );
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            for (label, snap) in &http {
-                // The tracer stores one flat label; split it back into
-                // the two Prometheus labels it was composed from.
-                let (endpoint, status) = label.split_once('|').unwrap_or((label.as_str(), ""));
-                let labels = format!("endpoint=\"{endpoint}\",status=\"{status}\"");
-                render_log_histogram(out, name, &labels, snap);
-            }
-        }
-        for (family, name, key, help) in [
-            (
-                families::QUEUE_WAIT,
-                "dsp_serve_exec_queue_wait_seconds",
-                "class",
-                "Executor queue wait (submit to dequeue) by priority class.",
-            ),
-            (
-                families::STAGE,
-                "dsp_serve_stage_seconds",
-                "stage",
-                "Compile/simulate pipeline stage duration (fresh computes only).",
-            ),
-        ] {
-            let fam = self.tracer.family_snapshot(family);
-            if fam.is_empty() {
-                continue;
-            }
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            for (label, snap) in &fam {
-                // The partition stage carries its algorithm in the flat
-                // label ("partition|fm"): split it into a second
-                // Prometheus label, like the HTTP endpoint|status pair.
-                let labels = match label.split_once('|') {
-                    Some((stage, partitioner)) => {
-                        format!("{key}=\"{stage}\",partitioner=\"{partitioner}\"")
-                    }
-                    None => format!("{key}=\"{label}\""),
-                };
-                render_log_histogram(out, name, &labels, snap);
-            }
-        }
-    }
-}
-
-/// One log-bucketed tracer histogram in Prometheus exposition form:
-/// cumulative `_bucket` lines per finite bound, `+Inf`, `_sum` in
-/// seconds, `_count`.
-fn render_log_histogram(out: &mut String, name: &str, labels: &str, snap: &HistogramSnapshot) {
-    let mut cum = 0u64;
-    for (i, n) in snap.buckets.iter().enumerate() {
-        cum += n;
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{{labels},le=\"{}\"}} {cum}",
-            dsp_trace::bucket_bound_seconds(i)
+        // Tracer-fed histograms: absent when tracing is disabled, and a
+        // family with no observations yet is omitted, like an endpoint
+        // that has seen no requests.
+        x.tracer_family(
+            &self.tracer,
+            families::HTTP_REQUEST,
+            "dsp_serve_http_request_seconds",
+            "End-to-end HTTP request latency by endpoint and status.",
+            &["endpoint", "status"],
         );
+        x.tracer_family(
+            &self.tracer,
+            families::QUEUE_WAIT,
+            "dsp_serve_exec_queue_wait_seconds",
+            "Executor queue wait (submit to dequeue) by priority class.",
+            &["class"],
+        );
+        // The partition stage carries its algorithm in the flat label
+        // ("partition|fm"): it renders as a second Prometheus label.
+        x.tracer_family(
+            &self.tracer,
+            families::STAGE,
+            "dsp_serve_stage_seconds",
+            "Compile/simulate pipeline stage duration (fresh computes only).",
+            &["stage", "partitioner"],
+        );
+        x.finish()
     }
-    let _ = writeln!(out, "{name}_bucket{{{labels},le=\"+Inf\"}} {}", snap.count);
-    let _ = writeln!(out, "{name}_sum{{{labels}}} {:.6}", snap.sum_seconds());
-    let _ = writeln!(out, "{name}_count{{{labels}}} {}", snap.count);
 }
 
 impl Default for Metrics {
@@ -587,19 +425,6 @@ impl Default for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_buckets_are_cumulative() {
-        let h = Histogram::default();
-        h.observe(Duration::from_micros(500)); // ≤ 0.001
-        h.observe(Duration::from_millis(20)); // ≤ 0.025
-        h.observe(Duration::from_secs(10)); // only +Inf
-        assert_eq!(h.count(), 3);
-        assert_eq!(h.buckets[0].load(Ordering::Relaxed), 1);
-        let le_25ms = BUCKETS.iter().position(|&b| b == 0.025).unwrap();
-        assert_eq!(h.buckets[le_25ms].load(Ordering::Relaxed), 2);
-        assert_eq!(h.buckets[BUCKETS.len() - 1].load(Ordering::Relaxed), 2);
-    }
 
     #[test]
     fn render_contains_all_families() {
@@ -633,7 +458,6 @@ mod tests {
             "dsp_serve_sweep_truncated_total 0",
             "dsp_serve_read_deadline_total 0",
             "dsp_serve_requests_total{endpoint=\"compile\",status=\"200\"} 1",
-            "dsp_serve_request_duration_seconds_bucket{endpoint=\"compile\",le=\"+Inf\"} 1",
             "dsp_serve_cache_hits_total{layer=\"prepared\"} 0",
             "dsp_serve_cache_evictions_total{layer=\"artifact\"} 0",
             "dsp_serve_cache_evicted_bytes_total{layer=\"prepared\"} 0",
@@ -780,6 +604,65 @@ mod tests {
             .parse()
             .unwrap();
         assert!((sum - 0.0123).abs() < 1e-6, "sum {sum} != 0.0123");
+    }
+
+    /// Every family with fixed counters and an enabled tracer, pinned
+    /// byte for byte. The uptime sample is wall-clock, so it is masked.
+    #[test]
+    fn exposition_matches_the_golden_file() {
+        let tracer = Tracer::new(64);
+        let m = Metrics::new(Arc::clone(&tracer));
+        m.record_request("compile", 200, Duration::from_millis(3));
+        m.record_request("compile", 200, Duration::from_micros(300));
+        m.record_request("sweep", 429, Duration::from_micros(40));
+        m.record_request("healthz", 200, Duration::from_micros(10));
+        m.connections_total.store(7, Ordering::Relaxed);
+        m.rejected_total.store(2, Ordering::Relaxed);
+        m.timeouts_total.store(1, Ordering::Relaxed);
+        m.truncations_total.store(1, Ordering::Relaxed);
+        m.read_deadline_total.store(1, Ordering::Relaxed);
+        m.workers_busy.store(1, Ordering::Relaxed);
+        tracer.observe(
+            families::QUEUE_WAIT,
+            "interactive",
+            Duration::from_micros(90),
+        );
+        tracer.observe(families::QUEUE_WAIT, "batch", Duration::from_millis(1));
+        tracer.observe(families::STAGE, "regalloc", Duration::from_millis(7));
+        tracer.observe(families::STAGE, "partition|fm", Duration::from_millis(2));
+        let cache = CacheStats {
+            prepared_hits: 4,
+            artifact_misses: 2,
+            prepared_evictions: 1,
+            prepared_bytes: 512,
+            artifact_bytes: 2048,
+            disk: Some(dsp_driver::DiskStats {
+                hits: 3,
+                misses: 1,
+                bytes: 4096,
+                entries: 2,
+                ..dsp_driver::DiskStats::default()
+            }),
+            ..CacheStats::default()
+        };
+        let exec = ExecutorStats {
+            workers: 2,
+            busy: 1,
+            queued_batch: 3,
+            executed_interactive: 5,
+            executed_batch: 9,
+            cancelled: 1,
+            ..ExecutorStats::default()
+        };
+        let text = m.render(1, 64, 4, &cache, (2, 3), &exec, true, Some("r1"));
+        let masked: String = text
+            .lines()
+            .map(|l| match l.strip_prefix("dsp_serve_uptime_seconds ") {
+                Some(_) => "dsp_serve_uptime_seconds <uptime>\n".to_string(),
+                None => format!("{l}\n"),
+            })
+            .collect();
+        assert_eq!(masked, include_str!("../tests/golden/metrics.prom"));
     }
 
     #[test]

@@ -622,9 +622,6 @@ fn metrics_expose_the_documented_families() {
         "# TYPE dsp_serve_deadline_timeouts_total counter",
         "dsp_serve_requests_total{endpoint=\"compile\",status=\"200\"} 1",
         "dsp_serve_requests_total{endpoint=\"healthz\",status=\"200\"} 1",
-        "# TYPE dsp_serve_request_duration_seconds histogram",
-        "dsp_serve_request_duration_seconds_bucket{endpoint=\"compile\",le=\"+Inf\"} 1",
-        "dsp_serve_request_duration_seconds_count{endpoint=\"compile\"} 1",
         "dsp_serve_cache_hits_total{layer=\"prepared\"}",
         "dsp_serve_cache_misses_total{layer=\"artifact\"} 1",
         "dsp_serve_cache_evictions_total{layer=\"prepared\"} 0",

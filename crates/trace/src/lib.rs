@@ -25,7 +25,9 @@
 //!   stage duration) from which p50/p90/p99/max derive.
 //! - **Exporters.** [`export::chrome_trace`] writes Chrome trace-event
 //!   JSON loadable in Perfetto / `chrome://tracing`;
-//!   [`export::jsonl`] writes one JSON object per line.
+//!   [`export::jsonl`] writes one JSON object per line;
+//!   [`expo::Exposition`] writes the Prometheus text format every
+//!   `/metrics` endpoint serves, tracer families included.
 //! - **Wire context.** [`wire`] carries a trace across processes: the
 //!   router injects `X-Dsp-Traceparent: <trace>-<parent_span>` on
 //!   upstream hops and replicas adopt it, so one trace id spans the
@@ -38,6 +40,7 @@
 //! deterministic report projections, so enabling tracing cannot
 //! perturb `--deterministic` output.
 
+pub mod expo;
 pub mod export;
 pub mod hist;
 pub mod log;
@@ -65,6 +68,23 @@ pub mod families {
     pub const HTTP_REQUEST: &str = "http_request";
     /// Router → replica attempt latency, labeled by replica address.
     pub const UPSTREAM: &str = "upstream";
+}
+
+/// 64-bit FNV-1a of `bytes`: the one stable, dependency-free hash
+/// behind artifact-cache keys, the router's ring, sweep-cell digests,
+/// chaos schedules, and fuzz campaign digests — identical on every
+/// platform and in every process.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a hash `h` over more `bytes` (a running digest).
+#[must_use]
+pub fn fnv1a_extend(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// A span's identity: the trace it belongs to and its own span ID.
@@ -440,6 +460,14 @@ impl Drop for Span<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+    }
 
     #[test]
     fn ids_are_unique_and_nonzero() {

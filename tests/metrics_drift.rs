@@ -2,7 +2,10 @@
 //! exports must match the families the docs claim exist, in **both**
 //! directions. A renamed counter that leaves a stale name in
 //! docs/observability.md — or a new family that never gets documented —
-//! fails this test with the exact missing names.
+//! fails this test with the exact missing names. Each scrape must also
+//! be well-formed as `dsp_obs::prom` reads it: no family declared
+//! twice, no sample outside a `# TYPE`-declared family, and every
+//! histogram's `+Inf` bucket equal to its `_count`.
 //!
 //! Live families come from real processes: one `dualbank serve` (with
 //! a `--cache-dir` so the disk-cache families are live, and default
@@ -11,7 +14,7 @@
 //! are every `dsp_[a-z0-9_]*` token in docs/observability.md,
 //! docs/serving.md, and docs/chaos.md.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -77,6 +80,56 @@ fn live_families(exposition: &str) -> BTreeSet<String> {
         .filter(|name| name.starts_with("dsp_"))
         .map(str::to_string)
         .collect()
+}
+
+/// Structural checks on one scrape, named `node` in failures.
+fn assert_well_formed(node: &str, exposition: &str) {
+    let mut declared = BTreeSet::new();
+    for name in exposition
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|rest| rest.split_whitespace().next())
+    {
+        assert!(
+            declared.insert(name),
+            "{node}: family {name} declared twice"
+        );
+    }
+    for family in dsp_obs::prom::parse(exposition) {
+        assert!(
+            declared.contains(family.name.as_str()),
+            "{node}: samples {:?} belong to no # TYPE-declared family",
+            family.samples.iter().map(|s| &s.name).collect::<Vec<_>>()
+        );
+        if family.kind != "histogram" {
+            for s in &family.samples {
+                assert_eq!(s.name, family.name, "{node}: stray series in {family:?}");
+            }
+            continue;
+        }
+        let mut inf = BTreeMap::new();
+        let mut count = BTreeMap::new();
+        for s in &family.samples {
+            let rest: Vec<(String, String)> = s
+                .labels
+                .iter()
+                .filter(|(k, _)| k != "le")
+                .cloned()
+                .collect();
+            let key = dsp_obs::prom::label_key(&rest);
+            if s.name == format!("{}_count", family.name) {
+                count.insert(key, s.value);
+            } else if s.label("le") == Some("+Inf") {
+                inf.insert(key, s.value);
+            }
+        }
+        assert!(
+            !count.is_empty(),
+            "{node}: histogram {} has no _count",
+            family.name
+        );
+        assert_eq!(inf, count, "{node}: {} +Inf buckets vs _count", family.name);
+    }
 }
 
 /// Every maximal `dsp_[a-z0-9_]*` token in a document.
@@ -189,9 +242,15 @@ fn docs_and_live_metrics_agree_on_every_family_name() {
     );
 
     let mut live = BTreeSet::new();
-    live.extend(live_families(&scrape(&replica.addr)));
-    live.extend(live_families(&scrape(&router.addr)));
-    live.extend(live_families(&scrape(&admin)));
+    for (node, addr) in [
+        ("serve", &replica.addr),
+        ("router", &router.addr),
+        ("chaos", &admin),
+    ] {
+        let exposition = scrape(addr);
+        assert_well_formed(node, &exposition);
+        live.extend(live_families(&exposition));
+    }
     let _ = chaos.kill();
     let _ = chaos.wait();
     let _ = std::fs::remove_dir_all(&cache_dir);
