@@ -308,10 +308,11 @@ impl<'p> Interpreter<'p> {
                     self.set(frame, dst, Word::from_f32(-v));
                 }
                 Op::FMac { acc, a, b } => {
-                    // Product and sum are rounded separately, exactly as
-                    // the simulator's MAC does.
-                    let v = self.get(frame, acc).as_f32()
-                        + self.get(frame, a).as_f32() * self.get(frame, b).as_f32();
+                    let v = eval_fmac(
+                        self.get(frame, acc).as_f32(),
+                        self.get(frame, a).as_f32(),
+                        self.get(frame, b).as_f32(),
+                    );
                     self.set(frame, acc, Word::from_f32(v));
                 }
                 Op::ItoF { dst, src } => {
@@ -493,15 +494,36 @@ pub fn eval_icmp(kind: CmpKind, a: i32, b: i32) -> bool {
     }
 }
 
+/// The bit pattern of the one NaN that floating-point arithmetic
+/// returns: the positive quiet NaN.
+pub const CANONICAL_NAN: u32 = 0x7FC0_0000;
+
 /// Evaluate a floating-point binary operation (IEEE-754 single).
+///
+/// Every NaN result is the canonical quiet NaN ([`CANONICAL_NAN`]).
+/// IEEE-754 leaves open which NaN an operation on two NaNs returns, and
+/// the host returns one that depends on operand order, which the
+/// compiler is free to swap for commutative operations.
 #[must_use]
 pub fn eval_fbin(kind: FpBinKind, a: f32, b: f32) -> f32 {
-    match kind {
+    let v = match kind {
         FpBinKind::Add => a + b,
         FpBinKind::Sub => a - b,
         FpBinKind::Mul => a * b,
         FpBinKind::Div => a / b,
+    };
+    if v.is_nan() {
+        f32::from_bits(CANONICAL_NAN)
+    } else {
+        v
     }
+}
+
+/// Evaluate a multiply-accumulate `acc + a * b`. Product and sum are
+/// rounded separately, exactly as the unfused multiply and add would be.
+#[must_use]
+pub fn eval_fmac(acc: f32, a: f32, b: f32) -> f32 {
+    eval_fbin(FpBinKind::Add, acc, eval_fbin(FpBinKind::Mul, a, b))
 }
 
 /// Evaluate a floating-point comparison (ordered; NaN compares false
@@ -694,6 +716,19 @@ mod tests {
         assert_eq!(eval_ibin(IntBinKind::Div, i32::MIN, -1), i32::MIN); // wrapping
         assert_eq!(eval_ibin(IntBinKind::Shl, 1, 33), 2); // masked count
         assert_eq!(eval_ibin(IntBinKind::Shr, -8, 1), -4); // arithmetic
+    }
+
+    #[test]
+    fn nan_results_are_canonical_whatever_the_operand_order() {
+        let neg = f32::from_bits(0xFFC0_0000);
+        let pos = f32::from_bits(0x7FC0_0001);
+        let ab = eval_fbin(FpBinKind::Add, neg, pos).to_bits();
+        let ba = eval_fbin(FpBinKind::Add, pos, neg).to_bits();
+        assert_eq!(ab, ba);
+        assert_eq!(ab, CANONICAL_NAN);
+        assert_eq!(eval_fmac(neg, pos, 1.0).to_bits(), CANONICAL_NAN);
+        assert_eq!(eval_fmac(1.0, neg, pos).to_bits(), CANONICAL_NAN);
+        assert_eq!(eval_fbin(FpBinKind::Div, 0.0, 0.0).to_bits(), CANONICAL_NAN);
     }
 
     #[test]

@@ -16,11 +16,22 @@
 //! operations and MU1 only bank-Y operations. The *Ideal* configuration
 //! of the paper — a dual-ported memory — is modelled by
 //! [`SimOptions::dual_ported`], which lets either unit reach either
-//! bank.
+//! bank. The discipline is a static property of the program, so
+//! [`Simulator::run`] checks it once, through [`VliwProgram::validate`],
+//! before the first cycle.
+//!
+//! The statistics are static too, except for how often each instruction
+//! runs. [`Simulator::new`] decodes every instruction once into a table
+//! of per-PC facts — operations, loads, stores, dual-memory and
+//! same-bank cycles, unit occupancy — and a cycle only bumps the visit
+//! counter of its PC. At halt, each [`SimStats`] count is the sum over
+//! the program of visits × that PC's fact, and `cycles` is the sum of
+//! the visits. Only the stack high-water marks depend on machine state;
+//! they are updated after the instructions that write a stack pointer.
 
 use dsp_machine::{
-    AddrOp, Bank, FpOp, IntOp, IntOperand, MemAddr, MemOp, PcuOp, Reg, VliwProgram, Word,
-    NUM_REGS_PER_FILE,
+    AReg, AddrOp, Bank, FpOp, FuncUnit, IReg, IntOp, IntOperand, MemAddr, MemOp, PcuOp, Reg,
+    VliwInst, VliwProgram, Word, NUM_REGS_PER_FILE,
 };
 
 /// Simulation options.
@@ -91,15 +102,9 @@ impl SimStats {
 /// Simulation errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The program failed static validation.
+    /// The program failed static validation, which includes the
+    /// memory-bank discipline.
     Invalid(String),
-    /// A memory slot held an operation for the wrong bank.
-    BankConflict {
-        /// Program counter of the offending instruction.
-        pc: u32,
-        /// Description.
-        detail: String,
-    },
     /// An access fell outside the bank.
     AddrOutOfRange {
         /// Program counter.
@@ -132,9 +137,6 @@ impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SimError::Invalid(e) => write!(f, "invalid program: {e}"),
-            SimError::BankConflict { pc, detail } => {
-                write!(f, "bank conflict at pc {pc}: {detail}")
-            }
             SimError::AddrOutOfRange { pc, bank, addr } => {
                 write!(f, "address {addr} out of range for bank {bank} at pc {pc}")
             }
@@ -152,6 +154,103 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// Static facts about one instruction: what executing it adds to the
+/// statistics, whatever the machine state.
+#[derive(Debug, Clone, Copy)]
+struct PcFacts {
+    ops: u8,
+    loads: u8,
+    stores: u8,
+    /// Both memory units busy.
+    dual_mem: bool,
+    /// Both memory units on the same bank (dual-ported memory only).
+    bank_conflict: bool,
+    /// Bit `i` is set when [`FuncUnit::ALL`]`[i]` is busy.
+    units: u16,
+    /// Writes `SP_X` or `SP_Y`, so the stack marks may move.
+    writes_sp: bool,
+}
+
+impl PcFacts {
+    fn decode(inst: &VliwInst) -> PcFacts {
+        let mut units = 0u16;
+        for (idx, unit) in FuncUnit::ALL.iter().enumerate() {
+            let occupied = match unit {
+                FuncUnit::Pcu => inst.pcu.is_some(),
+                FuncUnit::Mu0 => inst.mu0.is_some(),
+                FuncUnit::Mu1 => inst.mu1.is_some(),
+                FuncUnit::Au0 => inst.au0.is_some(),
+                FuncUnit::Au1 => inst.au1.is_some(),
+                FuncUnit::Du0 => inst.du0.is_some(),
+                FuncUnit::Du1 => inst.du1.is_some(),
+                FuncUnit::Fpu0 => inst.fpu0.is_some(),
+                FuncUnit::Fpu1 => inst.fpu1.is_some(),
+            };
+            if occupied {
+                units |= 1 << idx;
+            }
+        }
+        let mem_ops = || [&inst.mu0, &inst.mu1].into_iter().flatten();
+        let mem_count = inst.mem_op_count() as u8;
+        let stores = mem_ops().filter(|op| op.is_store()).count() as u8;
+        let is_sp = |r: AReg| r == AReg::SP_X || r == AReg::SP_Y;
+        let au_writes_sp = [&inst.au0, &inst.au1]
+            .into_iter()
+            .flatten()
+            .any(|op| match *op {
+                AddrOp::Lea { dst, .. }
+                | AddrOp::AddIndex { dst, .. }
+                | AddrOp::AddImm { dst, .. }
+                | AddrOp::Mov { dst, .. }
+                | AddrOp::FromInt { dst, .. } => is_sp(dst),
+                AddrOp::ToInt { .. } => false,
+            });
+        let load_writes_sp =
+            mem_ops().any(|op| matches!(*op, MemOp::Load { dst: Reg::Addr(r), .. } if is_sp(r)));
+        let dual_mem = mem_count == 2;
+        PcFacts {
+            ops: inst.op_count() as u8,
+            loads: mem_count - stores,
+            stores,
+            dual_mem,
+            bank_conflict: dual_mem
+                && inst.mu0.as_ref().map(MemOp::bank) == inst.mu1.as_ref().map(MemOp::bank),
+            units,
+            writes_sp: au_writes_sp || load_writes_sp,
+        }
+    }
+}
+
+/// The writes of one cycle, held until every read of the cycle is done.
+struct Pending<T, const N: usize> {
+    items: [T; N],
+    len: usize,
+}
+
+impl<T: Copy, const N: usize> Pending<T, N> {
+    fn new(fill: T) -> Self {
+        Pending {
+            items: [fill; N],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, item: T) {
+        self.items[self.len] = item;
+        self.len += 1;
+    }
+
+    fn as_slice(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+}
+
+/// Register writes one instruction can make: two each from the integer,
+/// floating-point and address units, plus two loads.
+const MAX_REG_WRITES: usize = 8;
+/// Memory writes one instruction can make: one store per memory unit.
+const MAX_MEM_WRITES: usize = 2;
+
 /// The machine state of the simulator.
 pub struct Simulator<'p> {
     program: &'p VliwProgram,
@@ -164,7 +263,14 @@ pub struct Simulator<'p> {
     call_stack: Vec<u32>,
     pc: u32,
     halted: bool,
-    stats: SimStats,
+    /// Static facts per PC, parallel to `program.insts`.
+    facts: Vec<PcFacts>,
+    /// Times each PC has executed, parallel to `program.insts`.
+    visits: Vec<u64>,
+    /// Cycles executed so far (the fuel meter; equals the visit sum).
+    cycles: u64,
+    max_stack_x: u32,
+    max_stack_y: u32,
 }
 
 /// Hardware call-stack depth (the DSP56001 has a 15-deep one; we are a
@@ -173,7 +279,8 @@ const CALL_STACK_DEPTH: usize = 4096;
 
 impl<'p> Simulator<'p> {
     /// Create a simulator with memories initialized from the program
-    /// images and the stack pointers pointing at their bases.
+    /// images and the stack pointers pointing at their bases, and decode
+    /// the program's per-PC facts.
     #[must_use]
     pub fn new(program: &'p VliwProgram, options: SimOptions) -> Simulator<'p> {
         let x_size = (program.x_stack_base + program.stack_words) as usize;
@@ -193,10 +300,14 @@ impl<'p> Simulator<'p> {
             call_stack: Vec::new(),
             pc: program.entry.0,
             halted: false,
-            stats: SimStats::default(),
+            facts: program.insts.iter().map(PcFacts::decode).collect(),
+            visits: vec![0; program.insts.len()],
+            cycles: 0,
+            max_stack_x: 0,
+            max_stack_y: 0,
         };
-        sim.aregs[dsp_machine::AReg::SP_X.index()] = Word(program.x_stack_base);
-        sim.aregs[dsp_machine::AReg::SP_Y.index()] = Word(program.y_stack_base);
+        sim.aregs[AReg::SP_X.index()] = Word(program.x_stack_base);
+        sim.aregs[AReg::SP_Y.index()] = Word(program.y_stack_base);
         sim
     }
 
@@ -204,67 +315,65 @@ impl<'p> Simulator<'p> {
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] on validation failure, bank conflicts,
-    /// out-of-range accesses, or fuel exhaustion.
+    /// Returns a [`SimError`] on validation failure (bank discipline
+    /// included), out-of-range accesses or program counters, call-stack
+    /// faults, or fuel exhaustion.
     pub fn run(&mut self) -> Result<SimStats, SimError> {
         self.program
             .validate(self.options.dual_ported)
             .map_err(SimError::Invalid)?;
         while !self.halted {
-            if self.stats.cycles >= self.options.fuel {
+            if self.cycles >= self.options.fuel {
                 return Err(SimError::FuelExhausted);
             }
+            self.cycles += 1;
             self.step()?;
         }
-        Ok(self.stats.clone())
+        Ok(self.fold_stats())
     }
 
-    /// Execute one cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] on bank conflicts or bad accesses.
-    pub fn step(&mut self) -> Result<(), SimError> {
+    /// The statistics of the cycles run so far: visits × per-PC facts.
+    fn fold_stats(&self) -> SimStats {
+        let mut s = SimStats {
+            max_stack_x: self.max_stack_x,
+            max_stack_y: self.max_stack_y,
+            ..SimStats::default()
+        };
+        for (f, &n) in self.facts.iter().zip(&self.visits) {
+            if n == 0 {
+                continue;
+            }
+            s.cycles += n;
+            s.ops += n * u64::from(f.ops);
+            s.loads += n * u64::from(f.loads);
+            s.stores += n * u64::from(f.stores);
+            s.dual_mem_cycles += n * u64::from(f.dual_mem);
+            s.bank_conflict_cycles += n * u64::from(f.bank_conflict);
+            for (idx, unit_ops) in s.unit_ops.iter_mut().enumerate() {
+                if f.units & (1 << idx) != 0 {
+                    *unit_ops += n;
+                }
+            }
+        }
+        debug_assert_eq!(s.cycles, self.cycles);
+        s
+    }
+
+    /// Execute one cycle of a validated program.
+    fn step(&mut self) -> Result<(), SimError> {
         let pc = self.pc;
         let inst = self
             .program
             .insts
             .get(pc as usize)
             .ok_or(SimError::PcOutOfRange { pc })?;
-        inst.check_bank_discipline(self.options.dual_ported)
-            .map_err(|detail| SimError::BankConflict { pc, detail })?;
-        self.stats.cycles += 1;
-        self.stats.ops += inst.op_count() as u64;
-        if inst.mem_op_count() == 2 {
-            self.stats.dual_mem_cycles += 1;
-            let bank_of = |op: &Option<MemOp>| match op {
-                Some(MemOp::Load { bank, .. } | MemOp::Store { bank, .. }) => Some(*bank),
-                None => None,
-            };
-            if bank_of(&inst.mu0) == bank_of(&inst.mu1) {
-                self.stats.bank_conflict_cycles += 1;
-            }
-        }
-        for (idx, unit) in dsp_machine::FuncUnit::ALL.iter().enumerate() {
-            let occupied = match unit {
-                dsp_machine::FuncUnit::Pcu => inst.pcu.is_some(),
-                dsp_machine::FuncUnit::Mu0 => inst.mu0.is_some(),
-                dsp_machine::FuncUnit::Mu1 => inst.mu1.is_some(),
-                dsp_machine::FuncUnit::Au0 => inst.au0.is_some(),
-                dsp_machine::FuncUnit::Au1 => inst.au1.is_some(),
-                dsp_machine::FuncUnit::Du0 => inst.du0.is_some(),
-                dsp_machine::FuncUnit::Du1 => inst.du1.is_some(),
-                dsp_machine::FuncUnit::Fpu0 => inst.fpu0.is_some(),
-                dsp_machine::FuncUnit::Fpu1 => inst.fpu1.is_some(),
-            };
-            if occupied {
-                self.stats.unit_ops[idx] += 1;
-            }
-        }
+        self.visits[pc as usize] += 1;
 
         // Phase 1: read everything and compute results against pre-state.
-        let mut reg_writes: Vec<(Reg, Word)> = Vec::new();
-        let mut mem_writes: Vec<(Bank, u32, Word)> = Vec::new();
+        let mut reg_writes: Pending<(Reg, Word), MAX_REG_WRITES> =
+            Pending::new((Reg::Int(IReg(0)), Word::ZERO));
+        let mut mem_writes: Pending<(Bank, u32, Word), MAX_MEM_WRITES> =
+            Pending::new((Bank::X, 0, Word::ZERO));
         let mut next_pc = pc + 1;
         let mut push_ra: Option<u32> = None;
         let mut pop_ra = false;
@@ -274,26 +383,20 @@ impl<'p> Simulator<'p> {
             reg_writes.push((Reg::Int(dst), w));
         }
         for op in [&inst.fpu0, &inst.fpu1].into_iter().flatten() {
-            let (dst, w) = self.eval_fp(op);
-            reg_writes.push((dst, w));
+            reg_writes.push(self.eval_fp(op));
         }
         for op in [&inst.au0, &inst.au1].into_iter().flatten() {
-            let (dst, w) = self.eval_addr(op);
-            reg_writes.push((dst, w));
+            reg_writes.push(self.eval_addr(op));
         }
         for op in [&inst.mu0, &inst.mu1].into_iter().flatten() {
             match op {
                 MemOp::Load { dst, addr, bank } => {
                     let a = self.effective(addr, pc, *bank)?;
-                    let w = self.mem(*bank)[a as usize];
-                    self.stats.loads += 1;
-                    reg_writes.push((*dst, w));
+                    reg_writes.push((*dst, self.mem(*bank)[a as usize]));
                 }
                 MemOp::Store { src, addr, bank } => {
                     let a = self.effective(addr, pc, *bank)?;
-                    let w = self.read_reg(*src);
-                    self.stats.stores += 1;
-                    mem_writes.push((*bank, a, w));
+                    mem_writes.push((*bank, a, self.read_reg(*src)));
                 }
             }
         }
@@ -322,10 +425,10 @@ impl<'p> Simulator<'p> {
         }
 
         // Phase 2: commit.
-        for (r, w) in reg_writes {
+        for &(r, w) in reg_writes.as_slice() {
             self.write_reg(r, w);
         }
-        for (bank, a, w) in mem_writes {
+        for &(bank, a, w) in mem_writes.as_slice() {
             self.mem_mut(bank)[a as usize] = w;
         }
         if let Some(ra) = push_ra {
@@ -342,13 +445,14 @@ impl<'p> Simulator<'p> {
         }
         self.pc = next_pc;
 
-        // Stack high-water tracking.
-        let spx = self.aregs[dsp_machine::AReg::SP_X.index()].0;
-        let spy = self.aregs[dsp_machine::AReg::SP_Y.index()].0;
-        let hx = spx.saturating_sub(self.program.x_stack_base);
-        let hy = spy.saturating_sub(self.program.y_stack_base);
-        self.stats.max_stack_x = self.stats.max_stack_x.max(hx);
-        self.stats.max_stack_y = self.stats.max_stack_y.max(hy);
+        if self.facts[pc as usize].writes_sp {
+            let spx = self.aregs[AReg::SP_X.index()].0;
+            let spy = self.aregs[AReg::SP_Y.index()].0;
+            let hx = spx.saturating_sub(self.program.x_stack_base);
+            let hy = spy.saturating_sub(self.program.y_stack_base);
+            self.max_stack_x = self.max_stack_x.max(hx);
+            self.max_stack_y = self.max_stack_y.max(hy);
+        }
         Ok(())
     }
 
@@ -399,8 +503,11 @@ impl<'p> Simulator<'p> {
                 (Reg::Float(dst), Word::from_f32(eval_fbin(kind, a, b)))
             }
             FpOp::Mac { dst, a, b } => {
-                let acc = self.fregs[dst.index()].as_f32();
-                let v = acc + self.fregs[a.index()].as_f32() * self.fregs[b.index()].as_f32();
+                let v = eval_fmac(
+                    self.fregs[dst.index()].as_f32(),
+                    self.fregs[a.index()].as_f32(),
+                    self.fregs[b.index()].as_f32(),
+                );
                 (Reg::Float(dst), Word::from_f32(v))
             }
             FpOp::Cmp {
@@ -548,12 +655,6 @@ impl<'p> Simulator<'p> {
             .collect()
     }
 
-    /// Statistics accumulated so far.
-    #[must_use]
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
-    }
-
     /// Current value of an integer register (for tests).
     #[must_use]
     pub fn ireg(&self, i: usize) -> Word {
@@ -563,15 +664,12 @@ impl<'p> Simulator<'p> {
 
 // The arithmetic helpers are shared with the IR interpreter so the two
 // execution engines can never drift apart.
-use dsp_ir::interp::{eval_fbin, eval_fcmp, eval_ibin, eval_icmp};
+use dsp_ir::interp::{eval_fbin, eval_fcmp, eval_fmac, eval_ibin, eval_icmp};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsp_machine::{
-        AReg, DataImage, DataSymbol, FReg, IReg, InstAddr, IntBinKind, Label, VliwFunction,
-        VliwInst,
-    };
+    use dsp_machine::{DataImage, DataSymbol, FReg, InstAddr, IntBinKind, Label, VliwFunction};
 
     fn program(insts: Vec<VliwInst>) -> VliwProgram {
         VliwProgram {
@@ -918,6 +1016,95 @@ mod tests {
         let mut sim = Simulator::new(&p, SimOptions::default());
         sim.run().unwrap();
         assert_eq!(sim.ireg(3).as_i32(), 99); // 3 + 2 + 1 == 4 + 2
+    }
+
+    #[test]
+    fn folded_stats_count_every_visit() {
+        // 0: movi r1, 3
+        // 1: ld.Y r2, [0] || ld.Y r3, [1] || r1 = r1 - 1   (same bank)
+        // 2: st.X r2, [0] || bnz r1 -> 1
+        // 3: halt
+        let mut init = VliwInst::new();
+        init.du0 = Some(IntOp::MovImm {
+            dst: IReg(1),
+            imm: 3,
+        });
+        let mut body = VliwInst::new();
+        body.mu0 = Some(MemOp::Load {
+            dst: Reg::Int(IReg(2)),
+            addr: MemAddr::Absolute(0),
+            bank: Bank::Y,
+        });
+        body.mu1 = Some(MemOp::Load {
+            dst: Reg::Int(IReg(3)),
+            addr: MemAddr::Absolute(1),
+            bank: Bank::Y,
+        });
+        body.du0 = Some(IntOp::Bin {
+            kind: IntBinKind::Sub,
+            dst: IReg(1),
+            lhs: IReg(1),
+            rhs: IntOperand::Imm(1),
+        });
+        let mut tail = VliwInst::new();
+        tail.mu0 = Some(MemOp::Store {
+            src: Reg::Int(IReg(2)),
+            addr: MemAddr::Absolute(0),
+            bank: Bank::X,
+        });
+        tail.pcu = Some(PcuOp::BranchNz {
+            cond: IReg(1),
+            target: InstAddr(1),
+        });
+        let p = program(vec![init, body, tail, halt()]);
+        let mut sim = Simulator::new(
+            &p,
+            SimOptions {
+                dual_ported: true,
+                ..SimOptions::default()
+            },
+        );
+        let stats = sim.run().unwrap();
+        let mut unit_ops = [0; dsp_machine::NUM_FUNC_UNITS];
+        unit_ops[0] = 4; // PCU: 3 branches + halt
+        unit_ops[1] = 6; // MU0: 3 loads + 3 stores
+        unit_ops[2] = 3; // MU1: 3 loads
+        unit_ops[5] = 4; // DU0: movi + 3 decrements
+        assert_eq!(
+            stats,
+            SimStats {
+                cycles: 8,
+                ops: 17,
+                loads: 6,
+                stores: 3,
+                dual_mem_cycles: 3,
+                bank_conflict_cycles: 3,
+                max_stack_x: 0,
+                max_stack_y: 0,
+                unit_ops,
+            }
+        );
+    }
+
+    #[test]
+    fn stack_mark_follows_a_load_into_the_stack_pointer() {
+        // SP_Y = Y[0] (= 16 + 5), then back to its base.
+        let mut p = program(Vec::new());
+        p.y_image.init = vec![Word(16 + 5)];
+        let mut load = VliwInst::new();
+        load.mu1 = Some(MemOp::Load {
+            dst: Reg::Addr(AReg::SP_Y),
+            addr: MemAddr::Absolute(0),
+            bank: Bank::Y,
+        });
+        let mut reset = VliwInst::new();
+        reset.au1 = Some(AddrOp::Lea {
+            dst: AReg::SP_Y,
+            addr: 16,
+        });
+        p.insts = vec![load, reset, halt()];
+        let stats = Simulator::new(&p, SimOptions::default()).run().unwrap();
+        assert_eq!((stats.max_stack_x, stats.max_stack_y), (0, 5));
     }
 
     #[test]

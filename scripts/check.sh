@@ -23,6 +23,13 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets $CARGO_FLAGS -- -D warnings
 
+echo "== dsp-perf release-mode correctness gate =="
+# One quick suite-warm run of the repository benchmark against the
+# optimized simulator: every sweep must hit the pinned cycle total and
+# projection digest, or the run exits nonzero. (`cargo test` runs the
+# same gate only in debug, where overflow checks differ.)
+./target/release/dsp-perf run --quick --workload suite-warm --seed 2 >/dev/null
+
 echo "== dsp-serve loopback smoke test =="
 # Self-contained: spawns a server on a free port, drives /compile over
 # 2 keep-alive connections, and exits nonzero on any dropped request.
