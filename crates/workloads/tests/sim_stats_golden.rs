@@ -1,5 +1,7 @@
 //! Golden simulator statistics: every field of [`SimStats`] for every
-//! cell of the 23-benchmark × 7-strategy matrix, pinned byte for byte.
+//! cell of the 23-benchmark × 7-strategy matrix, pinned byte for byte,
+//! together with the cell's memory cost, static bank words, instruction
+//! words and duplicated-variable count.
 //!
 //! The cycle counts are pinned elsewhere too, but the per-unit operation
 //! counts and the per-bank stack high-water marks appear in no other
@@ -21,7 +23,7 @@ fn render() -> String {
             let units: Vec<String> = s.unit_ops.iter().map(u64::to_string).collect();
             out.push_str(&format!(
                 "{} {} cycles={} ops={} loads={} stores={} dual_mem={} bank_conflict={} \
-                 stack_x={} stack_y={} unit_ops={}\n",
+                 stack_x={} stack_y={} unit_ops={} mem={} static={},{} inst={} dup={}\n",
                 bench.name,
                 m.strategy,
                 s.cycles,
@@ -33,6 +35,11 @@ fn render() -> String {
                 s.max_stack_x,
                 s.max_stack_y,
                 units.join(","),
+                m.memory_cost,
+                m.static_words.0,
+                m.static_words.1,
+                m.inst_words,
+                m.duplicated_vars,
             ));
         }
     }
