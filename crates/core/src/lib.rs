@@ -55,7 +55,7 @@ pub use gain::GainBuckets;
 pub use graph::InterferenceGraph;
 pub use partition::{
     exhaustive_partition, fm_partition, greedy_partition, naive_greedy_partition, partition_cost,
-    refined_partition, Partition, Partitioner,
+    Partition, Partitioner,
 };
 pub use vars::{AliasClasses, Var};
 
@@ -100,8 +100,6 @@ pub enum PartitionerKind {
     /// The paper's one-directional greedy (Figure 5).
     #[default]
     Greedy,
-    /// Greedy followed by bidirectional single-move refinement.
-    Refined,
     /// Fiduccia–Mattheyses passes (lock-and-pass, best-prefix rollback).
     Fm,
     /// Exhaustive minimum (graphs of ≤ 24 nodes only; test oracle).
@@ -109,15 +107,6 @@ pub enum PartitionerKind {
 }
 
 impl PartitionerKind {
-    /// The production algorithms, in the order they are swept
-    /// (the exhaustive oracle is test-only: it panics past 24 nodes, so
-    /// it is excluded from every user-facing axis).
-    pub const ALL: [PartitionerKind; 3] = [
-        PartitionerKind::Greedy,
-        PartitionerKind::Refined,
-        PartitionerKind::Fm,
-    ];
-
     /// Short machine-readable name, matching
     /// [`Partitioner::name`] — used in CLI flags, request bodies,
     /// reports, and metric labels.
@@ -136,20 +125,20 @@ impl PartitionerKind {
     pub fn parse(s: &str) -> Result<PartitionerKind, String> {
         match s {
             "greedy" => Ok(PartitionerKind::Greedy),
-            "refined" => Ok(PartitionerKind::Refined),
             "fm" => Ok(PartitionerKind::Fm),
             other => Err(format!(
-                "unknown partitioner '{other}' (expected greedy, refined, or fm)"
+                "unknown partitioner '{other}' (expected greedy or fm)"
             )),
         }
     }
 
-    /// Stable small integer for cache keys (covers the oracle too).
+    /// Stable small integer for cache keys (covers the oracle too). The
+    /// values never move, so stored keys stay valid; `1` belonged to a
+    /// retired algorithm and is not reused.
     #[must_use]
     pub fn index(self) -> u8 {
         match self {
             PartitionerKind::Greedy => 0,
-            PartitionerKind::Refined => 1,
             PartitionerKind::Fm => 2,
             PartitionerKind::Exhaustive => 3,
         }
@@ -160,7 +149,6 @@ impl PartitionerKind {
     pub fn as_partitioner(self) -> &'static dyn Partitioner {
         match self {
             PartitionerKind::Greedy => &partition::Greedy,
-            PartitionerKind::Refined => &partition::Refined,
             PartitionerKind::Fm => &partition::Fm,
             PartitionerKind::Exhaustive => &partition::Oracle,
         }

@@ -25,7 +25,6 @@
 
 use dsp_machine::Bank;
 
-use super::greedy::bidirectional_gain;
 use super::{adjacency, assemble_bank, partition_cost, Partition, Partitioner};
 use crate::gain::GainBuckets;
 use crate::graph::InterferenceGraph;
@@ -115,6 +114,22 @@ pub fn fm_partition(graph: &InterferenceGraph) -> Partition {
         passes,
         moves,
     }
+}
+
+/// Gain of flipping a node to the other bank under the bidirectional
+/// rule (positive when most adjacent weight sits in the node's own
+/// bank).
+fn bidirectional_gain(adj: &[(usize, u64)], side: &[Bank], my_side: Bank) -> i64 {
+    let mut same = 0i64;
+    let mut other = 0i64;
+    for &(j, w) in adj {
+        if side[j] == my_side {
+            same += w as i64;
+        } else {
+            other += w as i64;
+        }
+    }
+    same - other
 }
 
 #[cfg(test)]

@@ -1,14 +1,12 @@
 //! The paper's greedy partitioner (§3.1, Figure 5) on gain buckets,
 //! plus the historical O(v²·moves) rescan kept as a reference
-//! implementation, and the bidirectional single-move refinement
-//! ablation.
+//! implementation.
 
 use dsp_machine::Bank;
 
 use super::{adjacency, assemble_bank, partition_cost, Move, Partition, Partitioner};
 use crate::gain::GainBuckets;
 use crate::graph::InterferenceGraph;
-use crate::vars::Var;
 
 /// The paper's greedy algorithm behind the [`Partitioner`] trait.
 pub struct Greedy;
@@ -23,31 +21,17 @@ impl Partitioner for Greedy {
     }
 }
 
-/// Greedy plus bidirectional refinement behind the [`Partitioner`]
-/// trait.
-pub struct Refined;
-
-impl Partitioner for Refined {
-    fn name(&self) -> &'static str {
-        "refined"
-    }
-
-    fn partition(&self, graph: &InterferenceGraph) -> Partition {
-        refined_partition(graph)
-    }
-}
-
-/// The greedy sweep on shared state, so [`refined_partition`] can pick
-/// up where the plain greedy stopped without reassembling maps.
-pub(crate) struct GreedyState {
-    pub nodes: Vec<Var>,
-    pub adj: Vec<Vec<(usize, u64)>>,
-    pub side: Vec<Bank>,
-    pub cost: u64,
-    pub trace: Vec<Move>,
-}
-
-pub(crate) fn greedy_sweep(graph: &InterferenceGraph) -> GreedyState {
+/// The paper's greedy partitioner (Figure 5), on incremental gain
+/// buckets: O((v + E)·log v) total instead of a full-candidate rescan
+/// per move.
+///
+/// Ties between equal-gain candidates are broken toward the node added
+/// to the graph most recently, which reproduces the move order of the
+/// paper's worked example — and matches [`naive_greedy_partition`]
+/// move-for-move (the rescan's `max_by_key` keeps the last maximum,
+/// the buckets keep the highest index; both are "most recent node").
+#[must_use]
+pub fn greedy_partition(graph: &InterferenceGraph) -> Partition {
     let nodes = graph.active_nodes();
     let n = nodes.len();
     let adj = adjacency(graph, &nodes);
@@ -82,34 +66,13 @@ pub(crate) fn greedy_sweep(graph: &InterferenceGraph) -> GreedyState {
             buckets.adjust(j, -2 * w as i64);
         }
     }
-    GreedyState {
-        nodes,
-        adj,
-        side,
-        cost,
-        trace,
-    }
-}
-
-/// The paper's greedy partitioner (Figure 5), on incremental gain
-/// buckets: O((v + E)·log v) total instead of a full-candidate rescan
-/// per move.
-///
-/// Ties between equal-gain candidates are broken toward the node added
-/// to the graph most recently, which reproduces the move order of the
-/// paper's worked example — and matches [`naive_greedy_partition`]
-/// move-for-move (the rescan's `max_by_key` keeps the last maximum,
-/// the buckets keep the highest index; both are "most recent node").
-#[must_use]
-pub fn greedy_partition(graph: &InterferenceGraph) -> Partition {
-    let state = greedy_sweep(graph);
-    let bank = assemble_bank(&state.nodes, &state.side);
-    debug_assert_eq!(state.cost, partition_cost(graph, &bank));
-    let moves = state.trace.len() as u64;
+    let bank = assemble_bank(&nodes, &side);
+    debug_assert_eq!(cost, partition_cost(graph, &bank));
+    let moves = trace.len() as u64;
     Partition {
         bank,
-        cost: state.cost,
-        trace: state.trace,
+        cost,
+        trace,
         passes: 1,
         moves,
     }
@@ -166,71 +129,6 @@ pub fn naive_greedy_partition(graph: &InterferenceGraph) -> Partition {
         passes: 1,
         moves,
     }
-}
-
-/// Bidirectional refinement: after the greedy pass, also consider
-/// moving nodes *back* from Y to X, one at a time, while any single
-/// move decreases cost. An ablation of the paper's one-directional
-/// greedy.
-#[must_use]
-pub fn refined_partition(graph: &InterferenceGraph) -> Partition {
-    let mut state = greedy_sweep(graph);
-    let n = state.nodes.len();
-    let mut moves = state.trace.len() as u64;
-    // Rebuild the buckets bidirectionally: every node is a candidate,
-    // gain = (weight to same-bank nodes) - (weight to the other bank).
-    let mut buckets = GainBuckets::new(n);
-    for i in 0..n {
-        buckets.insert(
-            i,
-            bidirectional_gain(&state.adj[i], &state.side, state.side[i]),
-        );
-    }
-    while let Some((i, gain)) = buckets.peek_best() {
-        if gain <= 0 {
-            break;
-        }
-        state.side[i] = state.side[i].other();
-        state.cost -= gain as u64;
-        moves += 1;
-        // The mover's own gain negates (what was "same" is now
-        // "other"); it stays a live candidate — refinement has no
-        // locking, termination comes from cost strictly decreasing.
-        buckets.adjust(i, -2 * gain);
-        for &(j, w) in &state.adj[i] {
-            let delta = if state.side[j] == state.side[i] {
-                2 * w as i64
-            } else {
-                -2 * w as i64
-            };
-            buckets.adjust(j, delta);
-        }
-    }
-    let bank = assemble_bank(&state.nodes, &state.side);
-    debug_assert_eq!(state.cost, partition_cost(graph, &bank));
-    Partition {
-        bank,
-        cost: state.cost,
-        trace: Vec::new(),
-        passes: 2,
-        moves,
-    }
-}
-
-/// Gain of flipping a node to the other bank under the bidirectional
-/// rule (positive when most adjacent weight sits in the node's own
-/// bank).
-pub(crate) fn bidirectional_gain(adj: &[(usize, u64)], side: &[Bank], my_side: Bank) -> i64 {
-    let mut same = 0i64;
-    let mut other = 0i64;
-    for &(j, w) in adj {
-        if side[j] == my_side {
-            same += w as i64;
-        } else {
-            other += w as i64;
-        }
-    }
-    same - other
 }
 
 #[cfg(test)]
@@ -301,22 +199,5 @@ mod tests {
         assert_eq!(p.bank_of(v(9)), Bank::X);
         // A variable that never appeared at all also reads as X.
         assert_eq!(p.bank_of(v(100)), Bank::X);
-    }
-
-    #[test]
-    fn refinement_never_worse_than_greedy() {
-        for seed in 0..20u32 {
-            let g = random_graph(seed, 8);
-            let greedy = greedy_partition(&g);
-            let refined = refined_partition(&g);
-            assert!(refined.cost <= greedy.cost, "seed {seed}");
-            assert_eq!(
-                refined.cost,
-                partition_cost(&g, &refined.bank),
-                "seed {seed}"
-            );
-            assert!(refined.trace.is_empty());
-            assert_eq!(refined.passes, 2);
-        }
     }
 }

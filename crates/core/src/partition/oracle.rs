@@ -68,7 +68,8 @@ pub fn exhaustive_partition(graph: &InterferenceGraph) -> Partition {
 
 #[cfg(test)]
 mod tests {
-    use super::super::greedy::{greedy_partition, refined_partition};
+    use super::super::fm::fm_partition;
+    use super::super::greedy::greedy_partition;
     use super::super::testgraph::{figure4_graph, random_graph, v};
     use super::*;
 
@@ -104,7 +105,7 @@ mod tests {
         for seed in 0..20u32 {
             let g = random_graph(seed, 8);
             let exact = exhaustive_partition(&g);
-            assert!(exact.cost <= refined_partition(&g).cost, "seed {seed}");
+            assert!(exact.cost <= fm_partition(&g).cost, "seed {seed}");
             assert!(exact.cost <= greedy_partition(&g).cost, "seed {seed}");
         }
     }

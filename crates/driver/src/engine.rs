@@ -597,7 +597,6 @@ pub fn run_job(
                 // plain stage name.
                 let partition_label = match opts.config.partitioner {
                     dsp_backend::PartitionerKind::Greedy => "partition|greedy",
-                    dsp_backend::PartitionerKind::Refined => "partition|refined",
                     dsp_backend::PartitionerKind::Fm => "partition|fm",
                     dsp_backend::PartitionerKind::Exhaustive => "partition|exhaustive",
                 };

@@ -1,11 +1,12 @@
 //! Minimal hand-rolled JSON: a writer (escaper + object builder) and a
 //! recursive-descent parser.
 //!
-//! The build container has no registry access, so there is no `serde`;
-//! this module is the one place in the workspace that knows how to
-//! escape a JSON string or walk a JSON document. [`RunReport::to_json`]
-//! (crate::RunReport::to_json) renders through the writer half, and
-//! `dsp-serve` parses request bodies through the parser half.
+//! The build has no registry access, so there is no `serde`. The writer
+//! half quotes strings with the escape table of
+//! [`dsp_trace::export::escape`], which the trace exporters share.
+//! [`RunReport::to_json`](crate::RunReport::to_json) renders through
+//! the writer half, and `dsp-serve` parses request bodies through the
+//! parser half.
 //!
 //! The parser accepts standard JSON (RFC 8259) with two deliberate
 //! limits, both fine for request bodies we generate or document:
@@ -18,21 +19,7 @@ use std::fmt;
 /// Escape and quote a JSON string.
 #[must_use]
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", dsp_trace::export::escape(s))
 }
 
 /// Render a finite f64 as a JSON number (3 decimal places); `null` for

@@ -8,9 +8,10 @@
 //! via [`Engine::with_executor`]), with three guarantees:
 //!
 //! 1. **Bit-identical results.** A parallel run produces exactly the
-//!    measurements of the serial path (`runner::measure_ir` per cell):
-//!    jobs only share work at strategy-independent seams (parse,
-//!    optimize, profile, reference run), and each of those stages is a
+//!    measurements of a serial one, and both match the pinned fixture
+//!    `tests/golden/sim_stats.txt` on every cell of the suite: jobs
+//!    only share work at strategy-independent seams (parse, optimize,
+//!    profile, reference run), and each of those stages is a
 //!    deterministic function of the source.
 //! 2. **Exactly-once work.** The [`cache::ArtifactCache`] keys every
 //!    stage on the content hash of its inputs; concurrent workers

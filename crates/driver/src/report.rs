@@ -81,7 +81,7 @@ pub struct JobReport {
     pub partition_cost: u64,
     /// Data words spent on duplicated copies.
     pub duplicated_words: u64,
-    /// Partitioning algorithm label (`"greedy"`, `"refined"`, `"fm"`).
+    /// Partitioning algorithm label (`"greedy"`, `"fm"`).
     pub partitioner: &'static str,
     /// Partitioner passes run when the artifact was built.
     pub partition_passes: u64,

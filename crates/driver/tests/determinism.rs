@@ -8,7 +8,6 @@ use std::sync::Arc;
 
 use dsp_backend::Strategy;
 use dsp_driver::{Engine, EngineOptions, Executor, RunReport};
-use dsp_workloads::runner;
 
 /// Every deterministic field of a job, in matrix order. Wall times and
 /// per-job cache flags are excluded by construction — they are the only
@@ -111,37 +110,6 @@ fn sweep_through_shared_executor_matches_serial() {
         "every executor worker must have run jobs: {:?}",
         stats.per_worker_executed
     );
-}
-
-#[test]
-fn engine_matches_legacy_serial_path() {
-    // The engine's shared-stage factoring (optimize once, profile once,
-    // reference once) must not change any measurement relative to the
-    // pre-driver path that redid that work per strategy.
-    let report = engine(2)
-        .run_matrix(&dsp_workloads::all()[..4], &Strategy::ALL)
-        .expect("engine sweep succeeds");
-    for bench in &dsp_workloads::all()[..4] {
-        let legacy = runner::measure_all(bench).expect("legacy path succeeds");
-        for m in &legacy {
-            let job = report
-                .job(&bench.name, m.strategy)
-                .expect("job present in report");
-            assert_eq!(
-                job.measurement.cycles, m.cycles,
-                "{} {}",
-                bench.name, m.strategy
-            );
-            assert_eq!(job.measurement.memory_cost, m.memory_cost);
-            assert_eq!(job.measurement.static_words, m.static_words);
-            assert_eq!(job.measurement.inst_words, m.inst_words);
-            assert_eq!(job.measurement.duplicated_vars, m.duplicated_vars);
-            assert_eq!(
-                job.measurement.stats.dual_mem_cycles,
-                m.stats.dual_mem_cycles
-            );
-        }
-    }
 }
 
 #[test]

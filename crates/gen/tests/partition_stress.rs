@@ -14,7 +14,7 @@
 
 use dsp_bankalloc::{
     build_interference, exhaustive_partition, fm_partition, greedy_partition, partition_cost,
-    refined_partition, AliasClasses, InterferenceGraph, WeightMode,
+    AliasClasses, InterferenceGraph, WeightMode,
 };
 use dsp_gen::{generate_source, Bias, GenConfig};
 
@@ -56,18 +56,11 @@ fn fm_never_worse_than_greedy_on_generated_programs() {
     for seed in 0..60 {
         let g = graph_of(seed, &cfg);
         let greedy = greedy_partition(&g);
-        let refined = refined_partition(&g);
         let fm = fm_partition(&g);
         assert!(
             fm.cost <= greedy.cost,
             "seed {seed}: fm {} > greedy {}",
             fm.cost,
-            greedy.cost
-        );
-        assert!(
-            refined.cost <= greedy.cost,
-            "seed {seed}: refined {} > greedy {}",
-            refined.cost,
             greedy.cost
         );
     }
@@ -103,11 +96,7 @@ fn incremental_cost_matches_recomputation() {
     let cfg = stress_config();
     for seed in 0..40 {
         let g = graph_of(seed, &cfg);
-        for part in [
-            greedy_partition(&g),
-            refined_partition(&g),
-            fm_partition(&g),
-        ] {
+        for part in [greedy_partition(&g), fm_partition(&g)] {
             assert_eq!(
                 part.cost,
                 partition_cost(&g, &part.bank),

@@ -625,3 +625,30 @@ fn router_surface_health_metrics_and_replicas() {
     router.stop();
     r1.stop();
 }
+
+#[test]
+fn retired_partitioner_refined_is_a_400_direct_and_routed() {
+    let r1 = TestReplica::start("r1");
+    let router = TestRouter::start(&[&r1], |_| {});
+    let compile = format!(
+        "{{\"source\": {}, \"strategy\": \"cb\", \"partitioner\": \"refined\"}}",
+        dsp_driver::json::escape(FIR_SRC)
+    );
+    let sweep = format!(
+        "{{\"source\": {}, \"strategies\": [\"cb\"], \"partitioner\": \"refined\"}}",
+        dsp_driver::json::escape(FIR_SRC)
+    );
+    for (hop, mut conn) in [("direct", r1.connect()), ("routed", router.connect())] {
+        for (path, body) in [("/compile", &compile), ("/sweep", &sweep)] {
+            let resp = conn.request("POST", path, Some(body)).expect("round-trip");
+            let text = resp.text();
+            assert_eq!(resp.status, 400, "{hop} {path}: {text}");
+            assert!(
+                text.contains("greedy") && text.contains("fm"),
+                "{hop} {path}: the error must name the accepted partitioners: {text}"
+            );
+        }
+    }
+    router.stop();
+    r1.stop();
+}

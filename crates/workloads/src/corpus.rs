@@ -159,17 +159,4 @@ mod tests {
         let err = benchmark_from_source("bad", "int ;;;", Path::new("bad.dsp")).unwrap_err();
         assert!(err.to_string().contains("not DSP-C"), "{err}");
     }
-
-    #[test]
-    fn corpus_benchmarks_run_through_the_harness() {
-        let b = benchmark_from_source(
-            "sum",
-            "int A[4] = {1, 2, 3, 4}; int out;
-             void main() { int i; out = 0; for (i = 0; i < 4; i++) out += A[i]; }",
-            Path::new("sum.dsp"),
-        )
-        .unwrap();
-        let m = crate::runner::measure(&b, dsp_backend::Strategy::CbPartition).unwrap();
-        assert!(m.cycles > 0);
-    }
 }

@@ -4,20 +4,20 @@
 //! baked-in input data.
 //!
 //! Each [`Benchmark`] carries its source text and the list of globals
-//! whose final contents define correctness: the [`runner`] executes the
-//! compiled program on the simulator and compares those globals,
-//! word-for-word, against the reference interpreter.
+//! whose final contents define correctness. The [`runner`] module holds
+//! what a measurement needs besides the compiler and the simulator: the
+//! reference interpreter's snapshot of those globals, the word-for-word
+//! verification of a simulated run against it, and the assembly of a
+//! [`runner::Measurement`]. `dsp-driver`'s engine runs the pipeline.
 //!
 //! # Example
 //!
 //! ```
-//! use dsp_backend::Strategy;
-//! use dsp_workloads::{kernels, runner};
+//! use dsp_workloads::{by_name, Kind};
 //!
-//! let bench = kernels::fir(32, 1);
-//! let m = runner::measure(&bench, Strategy::CbPartition)?;
-//! assert!(m.cycles > 0);
-//! # Ok::<(), dsp_workloads::runner::RunError>(())
+//! let lpc = by_name("lpc").expect("a paper benchmark");
+//! assert_eq!(lpc.kind, Kind::Application);
+//! assert!(!lpc.check_globals.is_empty());
 //! ```
 
 pub mod apps;

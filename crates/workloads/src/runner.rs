@@ -1,15 +1,19 @@
-//! Compile-run-verify harness for the benchmarks.
+//! What the compile-and-measure pipeline needs from a benchmark: the
+//! reference snapshot, verification against it, and the metrics of one
+//! run.
 //!
-//! [`measure`] compiles a benchmark under one [`Strategy`], executes it
-//! on the simulator, verifies every checked global against the
-//! reference interpreter, and reports the paper's metrics: cycles and
-//! the first-order memory cost `X + Y + 2·S + I` (§4.2), with `S`
-//! measured as the stack high-water mark of the run.
+//! [`reference_globals`] runs the reference interpreter once per
+//! program; [`verify_sim`] compares every checked global of a simulated
+//! run against that snapshot word for word; [`measure_program`]
+//! assembles a [`Measurement`] with the paper's metrics: cycles and the
+//! first-order memory cost `X + Y + 2·S + I` (§4.2), with `S` measured
+//! as the stack high-water mark of the run. `dsp-driver`'s engine
+//! strings these together for every (benchmark, strategy) cell.
 
-use dsp_backend::{compile_ir, CompileError, Strategy};
+use dsp_backend::{CompileError, Strategy};
 use dsp_ir::{InterpError, Interpreter, Program};
 use dsp_machine::{VliwProgram, Word};
-use dsp_sim::{SimError, SimOptions, SimStats, Simulator};
+use dsp_sim::{SimError, SimStats, Simulator};
 
 use crate::Benchmark;
 
@@ -87,8 +91,7 @@ impl From<SimError> for RunError {
     }
 }
 
-/// Compile and parse the benchmark source into IR (cached by callers
-/// that measure several strategies).
+/// Parse and lower the benchmark source into IR.
 ///
 /// # Errors
 ///
@@ -96,16 +99,6 @@ impl From<SimError> for RunError {
 pub fn frontend(bench: &Benchmark) -> Result<Program, RunError> {
     dsp_frontend::compile_str(&bench.source)
         .map_err(|e| RunError::Compile(CompileError::Frontend(e)))
-}
-
-/// Measure one (benchmark, strategy) pair, verifying correctness.
-///
-/// # Errors
-///
-/// Returns a [`RunError`] on compile/run failure or output mismatch.
-pub fn measure(bench: &Benchmark, strategy: Strategy) -> Result<Measurement, RunError> {
-    let ir = frontend(bench)?;
-    measure_ir(bench, &ir, strategy)
 }
 
 /// Run the reference interpreter over the benchmark's IR and return the
@@ -182,27 +175,10 @@ pub fn verify_sim(
     Ok(())
 }
 
-/// Assemble a [`Measurement`] from a compiled artifact and the
-/// statistics of its simulated run.
-#[must_use]
-pub fn build_measurement(
-    bench: &Benchmark,
-    out: &dsp_backend::CompileOutput,
-    stats: SimStats,
-) -> Measurement {
-    measure_program(
-        &bench.name,
-        &out.program,
-        out.strategy,
-        out.alloc.duplicated().len(),
-        stats,
-    )
-}
-
-/// [`build_measurement`] for callers that no longer hold the full
-/// [`dsp_backend::CompileOutput`] — everything a measurement needs is
-/// the linked program, the strategy, and the duplicated-variable count
-/// (which is how the driver's disk-rehydrated artifacts are measured).
+/// Assemble a [`Measurement`] from a linked program, its strategy, its
+/// duplicated-variable count and the statistics of its simulated run —
+/// everything a measurement needs, so the driver measures compiled and
+/// disk-rehydrated artifacts alike.
 #[must_use]
 pub fn measure_program(
     name: &str,
@@ -226,71 +202,5 @@ pub fn measure_program(
         inst_words: program.inst_count(),
         stats,
         duplicated_vars,
-    }
-}
-
-/// [`measure`] with a pre-parsed IR program (avoids re-lexing the
-/// baked-in data tables for every strategy).
-///
-/// # Errors
-///
-/// Returns a [`RunError`] on compile/run failure or output mismatch.
-pub fn measure_ir(
-    bench: &Benchmark,
-    ir: &Program,
-    strategy: Strategy,
-) -> Result<Measurement, RunError> {
-    let reference = reference_globals(ir)?;
-
-    let out = compile_ir(ir, strategy)?;
-    let mut sim = Simulator::new(
-        &out.program,
-        SimOptions {
-            dual_ported: strategy.dual_ported(),
-            ..SimOptions::default()
-        },
-    );
-    let stats = sim.run()?;
-
-    verify_sim(bench, strategy, &sim, &reference)?;
-    Ok(build_measurement(bench, &out, stats))
-}
-
-/// Measure a benchmark under every strategy; the IR front-end runs only
-/// once.
-///
-/// # Errors
-///
-/// Returns the first [`RunError`] encountered.
-pub fn measure_all(bench: &Benchmark) -> Result<Vec<Measurement>, RunError> {
-    let ir = frontend(bench)?;
-    Strategy::ALL
-        .iter()
-        .map(|&s| measure_ir(bench, &ir, s))
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn measure_small_kernel_all_strategies() {
-        let bench = crate::kernels::fir(8, 4);
-        let ms = measure_all(&bench).expect("all strategies run");
-        assert_eq!(ms.len(), Strategy::ALL.len());
-        let base = ms[0].cycles;
-        for m in &ms {
-            assert!(m.cycles > 0 && m.cycles <= base + 8);
-            assert!(m.memory_cost > 0);
-        }
-    }
-
-    #[test]
-    fn ideal_never_slower_than_cb() {
-        let bench = crate::kernels::matmul(4);
-        let cb = measure(&bench, Strategy::CbPartition).unwrap();
-        let ideal = measure(&bench, Strategy::Ideal).unwrap();
-        assert!(ideal.cycles <= cb.cycles);
     }
 }

@@ -314,6 +314,16 @@ trap 'kill $(chaos_pids) 2>/dev/null || true; rm -rf "$CACHE_DIR" "$RDIR" "$CHAO
   --json "$PART_DIR/greedy.json" --deterministic >/dev/null
 ./target/release/dualbank bench all --jobs 1 --partitioner fm \
   --json "$PART_DIR/fm.json" --deterministic >/dev/null
+# A retired partitioner name is rejected up front: nonzero exit, an
+# `unknown partitioner` error, and no sweep output.
+if ./target/release/dualbank bench all --jobs 1 --partitioner refined \
+  >"$PART_DIR/refined.out" 2>"$PART_DIR/refined.err"; then
+  echo "FAIL: --partitioner refined was accepted"; exit 1
+fi
+grep -q "unknown partitioner" "$PART_DIR/refined.err" \
+  || { echo "FAIL: --partitioner refined: no 'unknown partitioner' error"; exit 1; }
+[ -s "$PART_DIR/refined.out" ] \
+  && { echo "FAIL: --partitioner refined swept before rejecting"; exit 1; }
 sum_cycles() { grep -o '"cycles": [0-9]*' "$1" | awk '{s+=$2} END{print s}'; }
 GREEDY_CYCLES=$(sum_cycles "$PART_DIR/greedy.json")
 FM_CYCLES=$(sum_cycles "$PART_DIR/fm.json")

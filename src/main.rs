@@ -77,9 +77,8 @@ fn usage() -> &'static str {
      \x20 --jobs N    worker threads (default: all cores); results are\n\
      \x20             bit-identical for every N\n\
      \x20 --partitioner P  bank-partitioning algorithm: greedy (paper\n\
-     \x20             \u{a7}3.1, default), refined (greedy + one downhill-\n\
-     \x20             free improvement sweep), or fm (incremental\n\
-     \x20             Fiduccia\u{2013}Mattheyses; see docs/partitioning.md)\n\
+     \x20             \u{a7}3.1, default) or fm (incremental Fiduccia\u{2013}\n\
+     \x20             Mattheyses; see docs/partitioning.md)\n\
      \x20 --bias B    (fuzz) generator bias: none (default) or\n\
      \x20             partition-stress (many arrays, dense same-\n\
      \x20             statement access pairs; stresses the partitioner)\n\

@@ -51,8 +51,10 @@ fn whole_benchmark_suite_is_reachable_from_the_facade() {
     let suite = dualbank::workloads::all();
     assert_eq!(suite.len(), 23);
     let bench = dualbank::workloads::by_name("fir_32_1").expect("exists");
-    let m = dualbank::workloads::runner::measure(&bench, Strategy::CbPartition).expect("measures");
-    assert!(m.cycles > 0);
+    let report = dualbank::driver::Engine::default()
+        .run_matrix(&[bench], &[Strategy::CbPartition])
+        .expect("measures");
+    assert!(report.jobs[0].measurement.cycles > 0);
 }
 
 #[test]
