@@ -420,7 +420,9 @@ impl MatrixRun {
     }
 
     /// Cancel every job of this matrix still queued; running jobs
-    /// finish (bounded by simulator fuel).
+    /// finish. Their simulation is bounded by fuel; their profile and
+    /// reference interpreter runs only by the interpreter's fixed
+    /// 500 M-op budget.
     pub fn cancel(&self) {
         self.token.cancel();
     }

@@ -70,9 +70,12 @@ pub enum Priority {
 ///
 /// Cancelling is cooperative and queue-level: tasks still *queued* when
 /// the token flips are dequeued without running (their handles resolve
-/// to cancelled); tasks already running complete normally — compute
-/// jobs in this workspace are bounded by simulator fuel, so a cancelled
-/// running job cannot pin a worker forever.
+/// to cancelled); tasks already running complete normally. A compute
+/// job in this workspace cannot pin a worker forever, but it can pin
+/// one for a while: its simulation is bounded by simulator fuel, and
+/// its profile and reference interpreter runs only by the
+/// interpreter's fixed 500 M-op budget (about 11 s on a tight loop,
+/// release build, 2-CPU host).
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -270,8 +273,9 @@ pub struct ExecutorStats {
 /// of spawning threads of its own. Dropping the last reference closes
 /// the queue; workers drain what is already queued and exit on their
 /// own, detached — a worker may be deep inside an abandoned
-/// (deadline-expired) job that only simulator fuel will stop, and a
-/// join would stall teardown for exactly that long.
+/// (deadline-expired) job that only simulator fuel or the
+/// interpreter's fixed operation budget will stop, and a join would
+/// stall teardown for exactly that long.
 pub struct Executor {
     inner: Arc<Inner>,
 }

@@ -9,36 +9,44 @@
 //! the ideal, so a banked run beating dual-ported memory on cycles by
 //! more than list-scheduler noise means a cost model bug, not a win.
 //!
+//! Each (program, strategy) cell is one [`dsp_driver::engine::run_job`]
+//! — the same job body the engine runs for suite sweeps, with every
+//! global checked. [`judge`] is the one place a row of cell outcomes
+//! becomes a [`Verdict`]: [`diff_source`] feeds it jobs run on demand,
+//! and a fuzz campaign feeds it the rows of an engine matrix.
+//!
 //! Every failure is classified into a [`FailureKind`]; the shrinker
 //! only accepts a smaller program when the kind is preserved, so
 //! shrinking a miscompile cannot wander off and "reduce" to an
 //! unrelated front-end error.
 
-use dsp_backend::{compile_ir, Strategy};
-use dsp_ir::Interpreter;
-use dsp_sim::{SimOptions, Simulator};
-use dsp_workloads::runner::{self, RunError};
-use dsp_workloads::{Benchmark, Kind};
+use std::path::Path;
+
+use dsp_backend::{CompileError, Strategy};
+use dsp_driver::engine::run_job;
+use dsp_driver::{ArtifactCache, EngineOptions, JobReport, SpanCtx};
+use dsp_workloads::corpus;
+use dsp_workloads::runner::RunError;
 
 /// Knobs for one oracle run.
 #[derive(Debug, Clone)]
 pub struct DiffOptions {
-    /// Interpreter fuel (IR ops) — bounds the reference run.
-    pub interp_fuel: u64,
-    /// Simulator fuel (cycles) per strategy.
-    pub sim_fuel: u64,
+    /// Cycle budget of each simulated run. The profile and reference
+    /// interpreter runs keep the interpreter's own fixed budget.
+    pub fuel: u64,
     /// Test-only miscompile injection: when the source contains this
     /// substring, the oracle reports a synthetic mismatch under
-    /// `CbPartition`. Substring-triggered so the failure survives
-    /// shrinking exactly like a real miscompile would.
+    /// `CbPartition` in place of that cell's real outcome. It fires
+    /// only once the `Baseline` cell has passed, so it never masks a
+    /// front-end error or a trap. Substring-triggered so the failure
+    /// survives shrinking exactly like a real miscompile would.
     pub inject_when_contains: Option<String>,
 }
 
 impl Default for DiffOptions {
     fn default() -> DiffOptions {
         DiffOptions {
-            interp_fuel: 20_000_000,
-            sim_fuel: 50_000_000,
+            fuel: 20_000_000,
             inject_when_contains: None,
         }
     }
@@ -132,10 +140,15 @@ impl Verdict {
 }
 
 /// Run the full differential oracle over one DSP-C source text.
+///
+/// The cells run one at a time, in [`Strategy::ALL`] order, against a
+/// fresh [`ArtifactCache`] (so each source is optimized, profiled and
+/// run on the reference interpreter once); the first failing cell
+/// stops the run.
 #[must_use]
 pub fn diff_source(source: &str, opts: &DiffOptions) -> Verdict {
-    let ir = match dsp_frontend::compile_str(source) {
-        Ok(ir) => ir,
+    let bench = match corpus::benchmark_from_source("fuzz", source, Path::new("fuzz")) {
+        Ok(bench) => bench,
         Err(e) => {
             return Verdict::Fail(Failure {
                 kind: FailureKind::Frontend,
@@ -143,84 +156,61 @@ pub fn diff_source(source: &str, opts: &DiffOptions) -> Verdict {
             })
         }
     };
-
-    let mut interp = Interpreter::new(&ir);
-    interp.set_fuel(opts.interp_fuel);
-    if let Err(e) = interp.run() {
-        return Verdict::Fail(Failure {
-            kind: FailureKind::InterpTrap,
-            detail: e.to_string(),
-        });
-    }
-    let reference: Vec<(String, Vec<dsp_machine::Word>)> = ir
-        .globals
-        .iter()
-        .enumerate()
-        .map(|(gi, g)| {
-            (
-                g.name.clone(),
-                interp.global_mem(dsp_ir::GlobalId(gi as u32)).to_vec(),
-            )
-        })
-        .collect();
-
-    // `verify_sim` reads the check list off a Benchmark; wrap the
-    // source with every global checked.
-    let bench = Benchmark {
-        name: "fuzz".into(),
-        kind: Kind::Application,
-        description: "generated program".into(),
-        source: source.to_string(),
-        check_globals: reference.iter().map(|(n, _)| n.clone()).collect(),
+    let cache = ArtifactCache::new();
+    let engine_opts = EngineOptions {
+        fuel: opts.fuel,
+        ..EngineOptions::default()
     };
+    let outcomes = Strategy::ALL
+        .iter()
+        .map(|&strategy| run_job(&cache, &engine_opts, &bench, strategy, SpanCtx::NONE));
+    judge(source, opts, outcomes)
+}
 
-    if let Some(needle) = &opts.inject_when_contains {
-        if source.contains(needle.as_str()) {
+/// Judge one program from its cell outcomes, given in [`Strategy::ALL`]
+/// order.
+///
+/// Outcomes are read lazily and the first failing cell is the verdict,
+/// so a caller that runs jobs on demand stops at that cell. Within a
+/// cell the job fails at its first failing stage: prepare, profile,
+/// compile, simulate, reference, verify. When every cell passes, the
+/// `Ideal` cycle check runs over the whole row.
+#[must_use]
+pub fn judge(
+    source: &str,
+    opts: &DiffOptions,
+    outcomes: impl IntoIterator<Item = Result<JobReport, RunError>>,
+) -> Verdict {
+    let injected = opts
+        .inject_when_contains
+        .as_deref()
+        .filter(|needle| source.contains(needle));
+    let mut outcomes = outcomes.into_iter();
+    let mut cycles = Vec::with_capacity(Strategy::ALL.len());
+    for &strategy in &Strategy::ALL {
+        if let (Some(needle), Strategy::CbPartition) = (injected, strategy) {
             return Verdict::Fail(Failure {
-                kind: FailureKind::Mismatch(Strategy::CbPartition),
+                kind: FailureKind::Mismatch(strategy),
                 detail: format!("injected mismatch: source contains {needle:?}"),
             });
         }
-    }
-
-    let mut cycles = Vec::with_capacity(Strategy::ALL.len());
-    for &strategy in &Strategy::ALL {
-        let out = match compile_ir(&ir, strategy) {
-            Ok(out) => out,
+        let outcome = outcomes.next().expect("one outcome per strategy");
+        match outcome {
+            Ok(report) => cycles.push((strategy, report.measurement.cycles)),
             Err(e) => {
+                let kind = match &e {
+                    RunError::Compile(CompileError::Frontend(_)) => FailureKind::Frontend,
+                    RunError::Compile(_) => FailureKind::BackendError(strategy),
+                    RunError::Interp(_) => FailureKind::InterpTrap,
+                    RunError::Sim(_) => FailureKind::SimTrap(strategy),
+                    RunError::Mismatch { .. } => FailureKind::Mismatch(strategy),
+                };
                 return Verdict::Fail(Failure {
-                    kind: FailureKind::BackendError(strategy),
+                    kind,
                     detail: e.to_string(),
-                })
+                });
             }
-        };
-        let mut sim = Simulator::new(
-            &out.program,
-            SimOptions {
-                dual_ported: strategy.dual_ported(),
-                fuel: opts.sim_fuel,
-            },
-        );
-        let stats = match sim.run() {
-            Ok(stats) => stats,
-            Err(e) => {
-                return Verdict::Fail(Failure {
-                    kind: FailureKind::SimTrap(strategy),
-                    detail: e.to_string(),
-                })
-            }
-        };
-        if let Err(e) = runner::verify_sim(&bench, strategy, &sim, &reference) {
-            let detail = match &e {
-                RunError::Mismatch { global, detail } => format!("global `{global}`: {detail}"),
-                other => other.to_string(),
-            };
-            return Verdict::Fail(Failure {
-                kind: FailureKind::Mismatch(strategy),
-                detail,
-            });
         }
-        cycles.push((strategy, stats.cycles));
     }
 
     let ideal = cycles
@@ -268,12 +258,37 @@ mod tests {
     }
 
     #[test]
-    fn infinite_loop_is_an_interp_trap() {
+    fn infinite_loop_is_a_sim_trap() {
+        // The Baseline cell simulates before it runs the reference, so
+        // a non-terminating program runs out of simulator fuel first.
         let opts = DiffOptions {
-            interp_fuel: 10_000,
+            fuel: 10_000,
             ..DiffOptions::default()
         };
         let v = diff_source("int out; void main() { while (1) out += 1; }", &opts);
+        assert_eq!(
+            v.failure().unwrap().kind,
+            FailureKind::SimTrap(Strategy::Baseline)
+        );
+    }
+
+    const OUT_OF_BOUNDS_READ: &str = "int A[4]; int out; void main() { int i; i = 9; out = A[i]; }";
+
+    #[test]
+    fn out_of_bounds_read_is_an_interp_trap() {
+        // The simulator reads whatever word lies in the bank; only the
+        // reference interpreter checks bounds.
+        let v = diff_source(OUT_OF_BOUNDS_READ, &DiffOptions::default());
+        assert_eq!(v.failure().unwrap().kind, FailureKind::InterpTrap);
+    }
+
+    #[test]
+    fn injection_does_not_mask_a_trap() {
+        let opts = DiffOptions {
+            inject_when_contains: Some("A".into()),
+            ..DiffOptions::default()
+        };
+        let v = diff_source(OUT_OF_BOUNDS_READ, &opts);
         assert_eq!(v.failure().unwrap().kind, FailureKind::InterpTrap);
     }
 

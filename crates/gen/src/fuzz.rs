@@ -3,10 +3,12 @@
 //! [`run_campaign`] generates `count` programs from a master seed,
 //! submits the full programs × [`Strategy::ALL`] matrix to a
 //! [`dsp_driver::Engine`] (so the campaign exercises the same cache,
-//! executor, and verification path production sweeps use), classifies
-//! every divergence, shrinks each failing program to a minimal
-//! reproducer, writes reproducers to a persistent corpus directory, and
-//! returns a [`FuzzReport`].
+//! executor, and verification path production sweeps use), judges each
+//! row with [`differ::judge`] — the oracle [`differ::diff_source`] uses
+//! too, so the shrinker sees exactly the failure the campaign found —
+//! shrinks each failing program to a minimal reproducer, writes
+//! reproducers to a persistent corpus directory, and returns a
+//! [`FuzzReport`].
 //!
 //! Reports are **byte-deterministic per `(seed, options)`**: they carry
 //! no wall times, no absolute paths, and iterate everything in
@@ -20,17 +22,16 @@
 //! abort the process that embeds it — `dsp-serve` parses request
 //! bodies on its worker threads).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use dsp_backend::Strategy;
 use dsp_driver::json::ObjectWriter;
 use dsp_driver::{Engine, EngineOptions};
 use dsp_exec::{CancelToken, Priority};
 use dsp_trace::SpanCtx;
-use dsp_workloads::runner::RunError;
-use dsp_workloads::{Benchmark, Kind};
+use dsp_workloads::{corpus, Benchmark};
 
-use crate::differ::{self, diff_source, DiffOptions, Failure, FailureKind, Verdict};
+use crate::differ::{self, DiffOptions, Failure, FailureKind, Verdict};
 use crate::generate::{generate, GenConfig};
 use crate::rng::Rng;
 use crate::shrink::{shrink, ShrinkOptions};
@@ -192,17 +193,6 @@ impl FuzzReport {
     }
 }
 
-/// Map an engine job failure onto the oracle's classification.
-fn classify_run_error(e: &RunError, strategy: Strategy) -> FailureKind {
-    match e {
-        RunError::Compile(dsp_backend::CompileError::Frontend(_)) => FailureKind::Frontend,
-        RunError::Compile(_) => FailureKind::BackendError(strategy),
-        RunError::Interp(_) => FailureKind::InterpTrap,
-        RunError::Sim(_) => FailureKind::SimTrap(strategy),
-        RunError::Mismatch { .. } => FailureKind::Mismatch(strategy),
-    }
-}
-
 /// File name for a corpus entry: seed plus failure label, both
 /// deterministic, so re-running the same campaign overwrites rather
 /// than accumulates.
@@ -235,64 +225,32 @@ pub fn run_campaign(opts: &FuzzOptions) -> std::io::Result<FuzzReport> {
         seed: u64,
         ast: dsp_frontend::ast::Ast,
         source: String,
-        injected: bool,
     }
     let programs: Vec<Prog> = seeds
         .iter()
         .map(|&seed| {
             let ast = generate(seed, &opts.config);
             let source = dsp_frontend::print_ast(&ast);
-            let injected = opts
-                .diff
-                .inject_when_contains
-                .as_deref()
-                .is_some_and(|needle| source.contains(needle));
-            Prog {
-                seed,
-                ast,
-                source,
-                injected,
-            }
+            Prog { seed, ast, source }
         })
         .collect();
     let total_source_bytes: u64 = programs.iter().map(|p| p.source.len() as u64).sum();
 
-    // Programs the injection hook fires on are judged locally by the
-    // oracle (the engine knows nothing of synthetic miscompiles); the
-    // rest go through the engine as one big matrix.
+    // One engine matrix for every program; `differ::judge` turns each
+    // row into a verdict, injection hook included.
     let engine = Engine::new(EngineOptions {
         jobs: opts.jobs,
-        fuel: opts.diff.sim_fuel,
+        fuel: opts.diff.fuel,
         ..EngineOptions::default()
     });
     let benches: Vec<Benchmark> = programs
         .iter()
         .enumerate()
-        .filter(|(_, p)| !p.injected)
         .map(|(i, p)| {
-            let check_globals = p
-                .ast
-                .items
-                .iter()
-                .filter_map(|item| match item {
-                    dsp_frontend::ast::Item::Global(g) => Some(g.name.clone()),
-                    dsp_frontend::ast::Item::Func(_) => None,
-                })
-                .collect();
-            Benchmark {
-                name: format!("fuzz-{i:05}"),
-                kind: Kind::Application,
-                description: format!("generated, seed {:#018x}", p.seed),
-                source: p.source.clone(),
-                check_globals,
-            }
+            let name = format!("fuzz-{i:05}");
+            corpus::benchmark_from_source(&name, &p.source, Path::new(&name))
+                .expect("a printed generated AST parses")
         })
-        .collect();
-    let bench_programs: Vec<usize> = programs
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| !p.injected)
-        .map(|(i, _)| i)
         .collect();
     let run = engine.submit_matrix(
         &benches,
@@ -316,65 +274,22 @@ pub fn run_campaign(opts: &FuzzOptions) -> std::io::Result<FuzzReport> {
         .collect();
     let mut digest = dsp_trace::fnv1a(&[]);
     let mut passed = 0usize;
-
-    let verdict_of = |bench_pos: usize| -> Result<Vec<u64>, Failure> {
-        let mut cycles = Vec::with_capacity(n_strats);
-        for (j, &strategy) in Strategy::ALL.iter().enumerate() {
-            let outcome = run
-                .wait_job(bench_pos * n_strats + j)
-                .expect("fuzz matrix is never cancelled");
-            match outcome {
-                Ok(report) => cycles.push(report.measurement.cycles),
-                Err(e) => {
-                    return Err(Failure {
-                        kind: classify_run_error(&e, strategy),
-                        detail: e.to_string(),
-                    })
-                }
-            }
-        }
-        let ideal = cycles[n_strats - 1];
-        debug_assert_eq!(Strategy::ALL[n_strats - 1], Strategy::Ideal);
-        for (j, &c) in cycles.iter().enumerate() {
-            if c.saturating_add(differ::ideal_slack(c)) < ideal {
-                return Err(Failure {
-                    kind: FailureKind::CycleInvariant(Strategy::ALL[j]),
-                    detail: format!(
-                        "{} finished in {c} cycles, beating Ideal's {ideal} \
-                         by more than the greedy-scheduling slack ({})",
-                        Strategy::ALL[j],
-                        differ::ideal_slack(c)
-                    ),
-                });
-            }
-        }
-        Ok(cycles)
-    };
-
-    let mut bench_cursor = 0usize;
     for (i, prog) in programs.iter().enumerate() {
-        let outcome: Result<Vec<u64>, Failure> = if prog.injected {
-            match diff_source(&prog.source, &opts.diff) {
-                Verdict::Pass { cycles } => Ok(cycles.into_iter().map(|(_, c)| c).collect()),
-                Verdict::Fail(f) => Err(f),
-            }
-        } else {
-            debug_assert_eq!(bench_programs[bench_cursor], i);
-            let r = verdict_of(bench_cursor);
-            bench_cursor += 1;
-            r
-        };
-        match outcome {
-            Ok(cycles) => {
+        let row = (0..n_strats).map(|j| {
+            run.wait_job(i * n_strats + j)
+                .expect("fuzz matrix is never cancelled")
+        });
+        match differ::judge(&prog.source, &opts.diff, row) {
+            Verdict::Pass { cycles } => {
                 passed += 1;
-                for (j, &c) in cycles.iter().enumerate() {
-                    summaries[j].total_cycles += c;
-                    summaries[j].min_cycles = summaries[j].min_cycles.min(c);
-                    summaries[j].max_cycles = summaries[j].max_cycles.max(c);
+                for (summary, &(_, c)) in summaries.iter_mut().zip(&cycles) {
+                    summary.total_cycles += c;
+                    summary.min_cycles = summary.min_cycles.min(c);
+                    summary.max_cycles = summary.max_cycles.max(c);
                     digest = dsp_trace::fnv1a_extend(digest, &c.to_le_bytes());
                 }
             }
-            Err(f) => failures.push((i, f)),
+            Verdict::Fail(f) => failures.push((i, f)),
         }
     }
     for s in &mut summaries {
@@ -391,18 +306,7 @@ pub fn run_campaign(opts: &FuzzOptions) -> std::io::Result<FuzzReport> {
     let mut records = Vec::with_capacity(failures.len());
     for (i, failure) in failures {
         let prog = &programs[i];
-        // Confirm the direct oracle sees the same failure before
-        // shrinking; if only the engine path reproduces it (a finding
-        // in itself), archive the program unshrunk.
-        let reproduces = diff_source(&prog.source, &opts.diff)
-            .failure()
-            .is_some_and(|f| f.kind == failure.kind);
-        let (repro, shrunk_bytes, oracle_calls, edits) = if reproduces {
-            let r = shrink(&prog.ast, &failure.kind, &shrink_opts);
-            (r.source, r.shrunk_bytes, r.oracle_calls, r.edits_applied)
-        } else {
-            (prog.source.clone(), prog.source.len(), 0, 0)
-        };
+        let shrunk = shrink(&prog.ast, &failure.kind, &shrink_opts);
 
         let corpus_file = if let Some(dir) = &opts.corpus_dir {
             let name = corpus_file_name(prog.seed, &failure.kind);
@@ -413,16 +317,16 @@ pub fn run_campaign(opts: &FuzzOptions) -> std::io::Result<FuzzReport> {
                  // failure: {}\n\
                  // detail: {}\n",
                 prog.source.len(),
-                shrunk_bytes,
-                edits,
-                oracle_calls,
+                shrunk.shrunk_bytes,
+                shrunk.edits_applied,
+                shrunk.oracle_calls,
                 opts.seed,
                 i,
                 prog.seed,
                 failure.kind.label(),
                 failure.detail.replace('\n', " "),
             );
-            std::fs::write(dir.join(&name), format!("{header}{repro}"))?;
+            std::fs::write(dir.join(&name), format!("{header}{}", shrunk.source))?;
             Some(name)
         } else {
             None
@@ -434,10 +338,10 @@ pub fn run_campaign(opts: &FuzzOptions) -> std::io::Result<FuzzReport> {
             kind: failure.kind,
             detail: failure.detail,
             original_bytes: prog.source.len(),
-            shrunk_bytes,
-            shrink_oracle_calls: oracle_calls,
-            shrink_edits: edits,
-            repro,
+            shrunk_bytes: shrunk.shrunk_bytes,
+            shrink_oracle_calls: shrunk.oracle_calls,
+            shrink_edits: shrunk.edits_applied,
+            repro: shrunk.source,
             corpus_file,
         });
     }

@@ -11,13 +11,17 @@
 //!   DSP-C programs (typed expressions, counted loops, in-bounds affine
 //!   subscripts, helper functions) with size knobs ([`GenConfig`]);
 //! * [`differ`] — the oracle: run one program through every
-//!   [`dsp_backend::Strategy`], compare final memories word-for-word
-//!   against the interpreter, and enforce the `Ideal ≤ strategy` cycle
-//!   invariant;
+//!   [`dsp_backend::Strategy`] as engine jobs
+//!   ([`dsp_driver::engine::run_job`]), compare final memories
+//!   word-for-word against the interpreter, and enforce the
+//!   `Ideal ≤ strategy` cycle invariant; [`differ::judge`] turns a row
+//!   of job outcomes into the verdict, for one program and for a
+//!   campaign alike;
 //! * [`shrink`] — greedy AST-level reduction of failing programs to
 //!   minimal reproducers, preserving the exact failure kind;
 //! * [`fuzz`] — campaigns: the program × strategy matrix through the
-//!   batch [`dsp_driver::Engine`], byte-deterministic JSON reports,
+//!   batch [`dsp_driver::Engine`], judged row by row by the same
+//!   oracle, byte-deterministic JSON reports,
 //!   persistent corpus output, and a byte-level mutation mode that
 //!   hardens the front-end against hostile input.
 //!
@@ -37,7 +41,7 @@ pub mod generate;
 pub mod rng;
 pub mod shrink;
 
-pub use differ::{diff_source, ideal_slack, DiffOptions, FailureKind, Verdict};
+pub use differ::{diff_source, ideal_slack, judge, DiffOptions, FailureKind, Verdict};
 pub use fuzz::{
     mutate_bytes, run_campaign, run_mutation_campaign, FuzzOptions, FuzzReport, MutateOptions,
 };

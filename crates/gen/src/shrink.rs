@@ -377,26 +377,6 @@ fn expr_edits(e: &Expr) -> Vec<Expr> {
     out
 }
 
-/// Convenience: shrink from source text. Parses, confirms the failure
-/// kind, and reduces. Returns `None` when the source does not fail (or
-/// does not even parse — text-level mutants are reported unshrunk by
-/// the caller instead).
-#[must_use]
-pub fn shrink_source(
-    source: &str,
-    kind: &FailureKind,
-    opts: &ShrinkOptions,
-) -> Option<ShrinkResult> {
-    let ast = dsp_frontend::parse::parse(source).ok()?;
-    let reproduces = diff_source(source, &opts.diff)
-        .failure()
-        .is_some_and(|f| f.kind == *kind);
-    if !reproduces {
-        return None;
-    }
-    Some(shrink(&ast, kind, opts))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,11 +431,9 @@ mod tests {
 
     #[test]
     fn passing_program_is_not_shrunk() {
-        let r = shrink_source(
-            "int out; void main() { out = 1; }",
-            &FailureKind::InterpTrap,
-            &ShrinkOptions::default(),
-        );
-        assert!(r.is_none());
+        let ast = dsp_frontend::parse::parse("int out; void main() { out = 1; }").unwrap();
+        let r = shrink(&ast, &FailureKind::InterpTrap, &ShrinkOptions::default());
+        assert_eq!(r.edits_applied, 0, "{r:?}");
+        assert_eq!(r.source, dsp_frontend::print_ast(&ast));
     }
 }

@@ -52,7 +52,11 @@
 //!   wall-clock budget before any byte is sent answers `504` and its
 //!   remaining queued jobs are cancelled; a sweep that times out
 //!   mid-stream closes with a well-formed `"truncated": true` tail
-//!   instead. Abandoned in-flight work is bounded by simulator fuel.
+//!   instead. An abandoned in-flight job runs to its end: its
+//!   simulation stops at `--fuel` cycles, but its profile and reference
+//!   interpreter runs ignore `--fuel` and stop only at the
+//!   interpreter's fixed 500 M-op budget (about 11 s on a tight loop,
+//!   release build, 2-CPU host), which outlasts the default deadline.
 //! * **Input limits** — oversized bodies get `413`, malformed requests
 //!   `400`; no peer input can panic a worker.
 //! * **Graceful shutdown** — draining finishes queued and in-flight

@@ -9,6 +9,10 @@
 //!
 //! Both the regression suite (`tests/fuzz_corpus.rs`) and the load
 //! generator (`dsp-serve-load --corpus`) consume this layout.
+//! [`benchmark_from_source`] is also the differential oracle's
+//! benchmark builder: `dsp-gen` wraps every program it judges, corpus
+//! entry or freshly generated, with it, so a fuzz verdict and a corpus
+//! replay check the same globals.
 
 use std::path::{Path, PathBuf};
 

@@ -293,12 +293,21 @@ trap 'kill $(chaos_pids) 2>/dev/null || true; rm -rf "$CACHE_DIR" "$RDIR" "$CHAO
 cmp "$FUZZ_DIR/fuzz_a.json" "$FUZZ_DIR/fuzz_b.json" \
   || { echo "FAIL: fuzz report not byte-deterministic across runs"; exit 1; }
 # The detect → shrink → archive path, end to end: an injected synthetic
-# miscompile must be caught, minimized, and land in the corpus dir.
-./target/release/dualbank fuzz --seed 2 --count 30 \
-  --corpus-dir "$FUZZ_DIR/corpus" --inject-mismatch "A1" >/dev/null 2>&1 \
-  && { echo "FAIL: injected miscompile campaign exited zero"; exit 1; }
-ls "$FUZZ_DIR/corpus"/*.dsp >/dev/null 2>&1 \
+# miscompile must be caught, minimized, and land in the corpus dir —
+# and the shrink path must be as deterministic as the clean campaign:
+# two runs give byte-identical reports and corpus files.
+for run in a b; do
+  ./target/release/dualbank fuzz --seed 2 --count 30 \
+    --corpus-dir "$FUZZ_DIR/corpus_$run" --inject-mismatch "A1" \
+    --json "$FUZZ_DIR/inject_$run.json" >/dev/null 2>&1 \
+    && { echo "FAIL: injected miscompile campaign exited zero"; exit 1; }
+done
+ls "$FUZZ_DIR/corpus_a"/*.dsp >/dev/null 2>&1 \
   || { echo "FAIL: injected miscompile produced no corpus entry"; exit 1; }
+cmp "$FUZZ_DIR/inject_a.json" "$FUZZ_DIR/inject_b.json" \
+  || { echo "FAIL: injected fuzz report not byte-deterministic across runs"; exit 1; }
+diff -r "$FUZZ_DIR/corpus_a" "$FUZZ_DIR/corpus_b" \
+  || { echo "FAIL: injected fuzz corpus not byte-deterministic across runs"; exit 1; }
 # Front-end robustness: byte-mutated programs must never panic.
 ./target/release/dualbank fuzz --mutate --seed 1 --count 40 --mutants 50 >/dev/null
 
