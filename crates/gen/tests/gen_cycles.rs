@@ -1,0 +1,88 @@
+//! Simulated cycles of generated programs under every strategy, pinned
+//! to a golden fixture.
+//!
+//! `crates/driver/tests/golden/sim_stats.txt` holds the 23 suite
+//! programs still; this fixture does the same for unseen code, in the
+//! shape of the `gen-cold` workload: 40 seeded `dsp-gen` programs, each
+//! swept over the seven strategies by the engine, which verifies every
+//! cell against the reference interpreter. A scheduler or allocator
+//! change that moves one schedule moves a line here; the failure
+//! message prints the complete new fixture.
+
+use std::path::Path;
+
+use dsp_backend::Strategy;
+use dsp_driver::Engine;
+use dsp_gen::rng::Rng;
+use dsp_gen::{generate_source, GenConfig};
+use dsp_workloads::{corpus, runner, Benchmark};
+
+const FIXTURE: &str = include_str!("golden/gen_cycles.txt");
+
+/// Seed of the program stream.
+const SEED: u64 = 2;
+
+/// Programs in the fixture (as many as one `gen-cold` sweep).
+const PROGRAMS: usize = 40;
+
+/// The fixture's programs, each tagged with its generator seed.
+/// Programs whose reference run leaves a NaN in a checked global are
+/// skipped, as `gen-cold` does: a NaN's bit pattern is not defined by
+/// the source language.
+fn programs() -> Vec<(u64, Benchmark)> {
+    let mut rng = Rng::new(SEED);
+    let config = GenConfig::default();
+    let mut out = Vec::new();
+    while out.len() < PROGRAMS {
+        let seed = rng.next_u64();
+        let name = format!("gen-{}", out.len());
+        let source = generate_source(seed, &config);
+        let bench = corpus::benchmark_from_source(&name, &source, Path::new(&name))
+            .unwrap_or_else(|e| panic!("{name} (seed {seed:#x}): {e}"));
+        let ir = runner::frontend(&bench).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let globals = runner::reference_globals(&ir).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let nan = globals
+            .iter()
+            .filter(|(g, _)| bench.check_globals.contains(g))
+            .flat_map(|(_, words)| words)
+            .any(|w| w.as_f32().is_nan());
+        if !nan {
+            out.push((seed, bench));
+        }
+    }
+    out
+}
+
+#[test]
+fn generated_program_cycles_match_the_golden_fixture() {
+    let programs = programs();
+    let benches: Vec<Benchmark> = programs.iter().map(|(_, b)| b.clone()).collect();
+    let report = Engine::default()
+        .run_matrix(&benches, &Strategy::ALL)
+        .unwrap_or_else(|e| panic!("{e}"));
+    let mut actual = String::new();
+    for (seed, bench) in &programs {
+        for &s in &Strategy::ALL {
+            let job = report.job(&bench.name, s).expect("every cell measured");
+            actual.push_str(&format!(
+                "{} {seed:#018x} {s} cycles={}\n",
+                bench.name, job.measurement.cycles
+            ));
+        }
+    }
+    assert_eq!(actual.lines().count(), PROGRAMS * Strategy::ALL.len());
+    if actual != FIXTURE {
+        let first = actual
+            .lines()
+            .zip(FIXTURE.lines())
+            .find(|(a, e)| a != e)
+            .map_or_else(
+                || "line counts differ".to_string(),
+                |(a, e)| format!("expected `{e}`\n     got `{a}`"),
+            );
+        panic!(
+            "generated-program cycles drifted from tests/golden/gen_cycles.txt\n{first}\n\
+             --- complete actual fixture ---\n{actual}"
+        );
+    }
+}
