@@ -275,6 +275,10 @@ pub struct CompileTimings {
     pub lower: std::time::Duration,
     /// Final operation compaction into VLIW instructions.
     pub final_pack: std::time::Duration,
+    /// The parts of `final_pack`: dependences, priorities, compaction.
+    /// Not persisted with an artifact; zero when it was loaded from a
+    /// disk store.
+    pub pack_parts: schedule::PackTimes,
     /// Linking and layout.
     pub link: std::time::Duration,
 }
@@ -344,6 +348,7 @@ pub fn compile_ir_timed(
     timings.regalloc = back.regalloc;
     timings.lower = back.lower;
     timings.final_pack = back.final_pack;
+    timings.pack_parts = back.pack_parts;
     timings.link = back.link;
     Ok((out, timings))
 }
@@ -439,7 +444,11 @@ pub fn compile_optimized(
         let pack_start = std::time::Instant::now();
         let mut blocks = Vec::with_capacity(lir.blocks.len());
         for ops in &lir.blocks {
-            blocks.push(schedule::schedule_block(ops, ideal)?);
+            blocks.push(schedule::schedule_block(
+                ops,
+                ideal,
+                &mut timings.pack_parts,
+            )?);
         }
         timings.final_pack += pack_start.elapsed();
         linked_funcs.push(link::LinkFunction {

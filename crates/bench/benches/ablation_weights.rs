@@ -40,8 +40,11 @@ fn uniform_cycles(ir: &dsp_ir::Program) -> u64 {
         )
         .expect("lowers");
         let mut blocks = Vec::new();
+        let mut times = dsp_backend::schedule::PackTimes::default();
         for ops in &lir.blocks {
-            blocks.push(dsp_backend::schedule::schedule_block(ops, false).expect("schedules"));
+            blocks.push(
+                dsp_backend::schedule::schedule_block(ops, false, &mut times).expect("schedules"),
+            );
         }
         funcs.push(dsp_backend::link::LinkFunction {
             name: lir.name.clone(),

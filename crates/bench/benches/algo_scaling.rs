@@ -103,9 +103,10 @@ fn main() {
     println!("algo_scaling — medians of 20 batches\n");
 
     println!("compaction (block size n, 8 arrays)");
-    for &n in &[16usize, 64, 256] {
+    for &n in &[16usize, 64, 256, 1024] {
         let (ops, claims) = synthetic_block(n, 8);
-        let t = time_median(20, 50, || {
+        let (samples, iters) = if n >= 1024 { (5, 5) } else { (20, 50) };
+        let t = time_median(samples, iters, || {
             compact_ir_block(&ops, &claims, None).expect("schedules");
         });
         println!("  n = {n:>4}  {}", human(t));

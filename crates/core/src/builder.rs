@@ -94,6 +94,9 @@ pub fn build_interference(
             graph.add_node(class);
         }
     }
+    // Weighted store traffic of every class, consistent with the
+    // conflicts; only the duplication candidates' totals are kept.
+    let mut store_weight: std::collections::HashMap<Var, u64> = std::collections::HashMap::new();
     for (fi, f) in program.funcs.iter().enumerate() {
         let func = FuncId(fi as u32);
         let loops = LoopInfo::compute(f);
@@ -107,6 +110,13 @@ pub fn build_interference(
                 continue; // never-executed block contributes nothing
             }
             let ops = &block.ops;
+            for op in ops {
+                if let dsp_ir::ops::Op::Store { addr, .. } = op {
+                    *store_weight
+                        .entry(alias.class_of_base(func, addr.base))
+                        .or_default() += weight;
+                }
+            }
             let mem_count = ops.iter().filter(|o| o.is_mem()).count();
             if mem_count < 2 {
                 continue; // no chance of a memory pair
@@ -141,28 +151,8 @@ pub fn build_interference(
                 .expect("validated blocks have acyclic dependence graphs");
         }
     }
-    // Store traffic and storage footprint of each candidate, weighted
-    // consistently with the conflicts.
-    for (fi, f) in program.funcs.iter().enumerate() {
-        let func = FuncId(fi as u32);
-        let loops = LoopInfo::compute(f);
-        for (bi, block) in f.iter_blocks() {
-            let weight = match mode {
-                WeightMode::LoopDepth => u64::from(loops.depth_of(bi)) + 1,
-                WeightMode::Profile(stats) => stats.block_count(func, bi),
-                WeightMode::Uniform => 1,
-            };
-            for op in &block.ops {
-                if let dsp_ir::ops::Op::Store { addr, .. } = op {
-                    let class = alias.class_of_base(func, addr.base);
-                    if let Some(s) = dup_stats.get_mut(&class) {
-                        s.stores += weight;
-                    }
-                }
-            }
-        }
-    }
     for (class, stats) in &mut dup_stats {
+        stats.stores = store_weight.get(class).copied().unwrap_or(0);
         stats.copy_words = alias
             .members(*class)
             .iter()

@@ -610,8 +610,22 @@ pub fn run_job(
                     ("final_pack", "final_pack", t.final_pack),
                     ("link", "link", t.link),
                 ] {
-                    tracer.record_span(name, "stage", ctx, at, dur, Vec::new());
+                    let stage = tracer.record_span(name, "stage", ctx, at, dur, Vec::new());
                     tracer.observe(families::STAGE, label, dur);
+                    if name == "final_pack" {
+                        // Its parts, back to back; no histogram of their
+                        // own, so the stage families stay as they are.
+                        let p = &t.pack_parts;
+                        let mut part_at = at;
+                        for (part, part_dur) in [
+                            ("deps", p.deps),
+                            ("priorities", p.priorities),
+                            ("compact", p.compact),
+                        ] {
+                            tracer.record_span(part, "stage", stage, part_at, part_dur, Vec::new());
+                            part_at += part_dur;
+                        }
+                    }
                     at += dur;
                 }
             }
@@ -908,8 +922,17 @@ mod tests {
             .attrs
             .iter()
             .any(|(k, v)| *k == "cache" && v == "compiled"));
-        for name in ["trial_compaction", "partition", "regalloc", "lower"] {
+        for name in [
+            "trial_compaction",
+            "partition",
+            "regalloc",
+            "lower",
+            "final_pack",
+        ] {
             assert_eq!(find(name).parent, artifact.span);
+        }
+        for name in ["deps", "priorities", "compact"] {
+            assert_eq!(find(name).parent, find("final_pack").span);
         }
         // …and the stage histogram family saw them.
         let fam = tracer.family_snapshot(families::STAGE);

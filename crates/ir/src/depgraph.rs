@@ -54,8 +54,6 @@ pub struct DepEdge {
 pub struct DepGraph {
     n: usize,
     edges: Vec<DepEdge>,
-    preds: Vec<Vec<usize>>,
-    succs: Vec<Vec<usize>>,
 }
 
 /// Can two memory references touch the same word in some execution?
@@ -89,6 +87,8 @@ impl DepGraph {
     #[must_use]
     pub fn build(ops: &[Op]) -> DepGraph {
         let n = ops.len();
+        let uses: Vec<Vec<crate::ids::VReg>> = ops.iter().map(Op::uses).collect();
+        let defs: Vec<Option<crate::ids::VReg>> = ops.iter().map(Op::def).collect();
         let mut edges = Vec::new();
         let mut add = |from: usize, to: usize, kind: DepKind| {
             edges.push(DepEdge { from, to, kind });
@@ -97,16 +97,16 @@ impl DepGraph {
             for i in 0..j {
                 let (a, b) = (&ops[i], &ops[j]);
                 // Register dependences.
-                if let Some(d) = a.def() {
-                    if b.uses().contains(&d) {
+                if let Some(d) = defs[i] {
+                    if uses[j].contains(&d) {
                         add(i, j, DepKind::Flow);
                     }
-                    if b.def() == Some(d) {
+                    if defs[j] == Some(d) {
                         add(i, j, DepKind::Output);
                     }
                 }
-                if let Some(d) = b.def() {
-                    if a.uses().contains(&d) {
+                if let Some(d) = defs[j] {
+                    if uses[i].contains(&d) {
                         add(i, j, DepKind::Anti);
                     }
                 }
@@ -141,22 +141,7 @@ impl DepGraph {
                 }
             }
         }
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
-        for e in &edges {
-            if !succs[e.from].contains(&e.to) {
-                succs[e.from].push(e.to);
-            }
-            if !preds[e.to].contains(&e.from) {
-                preds[e.to].push(e.from);
-            }
-        }
-        DepGraph {
-            n,
-            edges,
-            preds,
-            succs,
-        }
+        DepGraph { n, edges }
     }
 
     /// Number of operations.
@@ -182,45 +167,74 @@ impl DepGraph {
         self.edges.iter().filter(move |e| e.to == i)
     }
 
-    /// Distinct predecessors of `i`.
-    #[must_use]
-    pub fn preds(&self, i: usize) -> &[usize] {
-        &self.preds[i]
-    }
-
-    /// Distinct successors of `i`.
-    #[must_use]
-    pub fn succs(&self, i: usize) -> &[usize] {
-        &self.succs[i]
-    }
-
     /// Scheduling priority of every operation: its number of descendants
     /// in the dependence graph (paper Figure 3). Operations with more
     /// downstream work are scheduled first.
     #[must_use]
     pub fn priorities(&self) -> Vec<u32> {
-        // Reachability via bitsets, accumulated in reverse program order
-        // (edges always go from lower to higher index, so a reverse scan
-        // is a topological order).
-        let words = self.n.div_ceil(64);
-        let mut reach: Vec<Vec<u64>> = vec![vec![0u64; words]; self.n];
-        for i in (0..self.n).rev() {
-            // Split so we can read successor sets while writing node i's.
-            let (head, tail) = reach.split_at_mut(i + 1);
-            let mine = &mut head[i];
-            for &s in &self.succs[i] {
-                mine[s / 64] |= 1u64 << (s % 64);
-                let other = &tail[s - i - 1];
-                for (m, o) in mine.iter_mut().zip(other) {
-                    *m |= o;
-                }
+        priorities(self.n, &self.edges)
+    }
+}
+
+/// Scheduling priorities of `n` operations from their dependence
+/// `edges`: each operation's number of descendants (paper Figure 3).
+/// Serves IR blocks ([`DepGraph::priorities`]) and any other operation
+/// sequence whose edges run from a lower to a higher index, such as the
+/// back end's machine-level blocks.
+///
+/// The descendant sets are bit rows of one flat table, filled in reverse
+/// index order — a topological order, since every edge points forward —
+/// so each row ORs in the finished rows of its successors. That is
+/// `O(n + e·n/64)` word operations and three allocations.
+///
+/// # Panics
+///
+/// Panics if an edge does not point from a lower to a higher index
+/// below `n`.
+#[must_use]
+pub fn priorities(n: usize, edges: &[DepEdge]) -> Vec<u32> {
+    // Successor lists in compressed-row form.
+    let mut start = vec![0u32; n + 1];
+    for e in edges {
+        assert!(
+            e.from < e.to && e.to < n,
+            "edge {}->{} out of order",
+            e.from,
+            e.to
+        );
+        start[e.from + 1] += 1;
+    }
+    for i in 0..n {
+        start[i + 1] += start[i];
+    }
+    let mut fill = start.clone();
+    let mut succ = vec![0u32; edges.len()];
+    for e in edges {
+        succ[fill[e.from] as usize] = e.to as u32;
+        fill[e.from] += 1;
+    }
+
+    let words = n.div_ceil(64);
+    let mut reach = vec![0u64; n * words];
+    for i in (0..n).rev() {
+        // Rows above i's are finished; split so they can be read while
+        // row i is written.
+        let (head, tail) = reach.split_at_mut((i + 1) * words);
+        let mine = &mut head[i * words..];
+        for &s in &succ[start[i] as usize..start[i + 1] as usize] {
+            let s = s as usize;
+            mine[s / 64] |= 1u64 << (s % 64);
+            let other = &tail[(s - i - 1) * words..(s - i) * words];
+            for (m, o) in mine.iter_mut().zip(other) {
+                *m |= o;
             }
         }
-        reach
-            .iter()
-            .map(|bits| bits.iter().map(|w| w.count_ones()).sum())
-            .collect()
     }
+    reach
+        .chunks(words.max(1))
+        .take(n)
+        .map(|row| row.iter().map(|w| w.count_ones()).sum())
+        .collect()
 }
 
 #[cfg(test)]

@@ -844,6 +844,9 @@ fn sweep_is_followable_end_to_end_by_request_id() {
         "regalloc",
         "lower",
         "final_pack",
+        "deps",
+        "priorities",
+        "compact",
         "link",
         "simulate",
     ] {

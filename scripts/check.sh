@@ -29,6 +29,10 @@ echo "== dsp-perf release-mode correctness gate =="
 # projection digest, or the run exits nonzero. (`cargo test` runs the
 # same gate only in debug, where overflow checks differ.)
 ./target/release/dsp-perf run --quick --workload suite-warm --seed 2 >/dev/null
+# The same gate on unseen code: every cell of 40 generated programs is
+# compiled fresh and checked word for word against the reference
+# interpreter.
+./target/release/dsp-perf run --quick --workload gen-cold --seed 2 >/dev/null
 
 echo "== dsp-serve loopback smoke test =="
 # Self-contained: spawns a server on a free port, drives /compile over
