@@ -195,3 +195,63 @@ fn bit_rot_is_quarantined_on_the_next_open_and_never_served() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_crafted_layout_with_a_valid_crc_ends_its_job_in_an_error() {
+    // The checksum only proves the bytes are the ones written. An entry
+    // written by a hostile or buggy writer can carry a layout the
+    // simulator cannot hold: each must end the job in a validation
+    // error, never a panic or an unbounded allocation.
+    use dsp_driver::store::{decode_entry, encode_entry, parse_entry_file_name};
+    use dsp_machine::MAX_BANK_WORDS;
+    use dsp_sim::SimError;
+    use dsp_workloads::runner::RunError;
+
+    let bench = dsp_workloads::kernels::fir(16, 4);
+    type Craft = (&'static str, fn(&mut dsp_machine::VliwProgram));
+    let crafts: [Craft; 4] = [
+        ("overflows", |p| p.stack_words = u32::MAX),
+        ("limit", |p| p.x_stack_base = MAX_BANK_WORDS),
+        ("initial image", |p| {
+            p.y_image.init.resize(1 << 16, dsp_machine::Word::ZERO)
+        }),
+        ("outside bank", |p| p.symbols[0].addr = u32::MAX - 1),
+    ];
+    for (expect, craft) in crafts {
+        let dir = temp_dir("craft");
+        Engine::new(EngineOptions {
+            jobs: 1,
+            cache_dir: Some(dir.clone()),
+            ..EngineOptions::default()
+        })
+        .run_matrix(std::slice::from_ref(&bench), &[Strategy::Baseline])
+        .unwrap();
+        let mut entries = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter_map(|name| Some((parse_entry_file_name(&name)?, name)));
+        let (key, name) = entries.next().expect("one published entry");
+        assert!(entries.next().is_none());
+        let path = dir.join(name);
+        let mut artifact = decode_entry(&key, &std::fs::read(&path).unwrap()).unwrap();
+        craft(&mut artifact.program);
+        std::fs::write(&path, encode_entry(&key, &artifact)).unwrap();
+
+        let eng = Engine::new(EngineOptions {
+            jobs: 1,
+            cache_dir: Some(dir.clone()),
+            ..EngineOptions::default()
+        });
+        assert_eq!(eng.cache().store().unwrap().sweep().recovered, 1);
+        let err = eng
+            .run_matrix(std::slice::from_ref(&bench), &[Strategy::Baseline])
+            .expect_err("a crafted layout must not run");
+        match &err.error {
+            RunError::Sim(SimError::Invalid(msg)) => {
+                assert!(msg.contains(expect), "{expect}: {msg}");
+            }
+            other => panic!("{expect}: expected a validation error, got {other}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -454,6 +454,7 @@ enum Flow {
 /// wrapping arithmetic, shift counts masked to 5 bits, and division or
 /// remainder by zero yielding 0.
 #[must_use]
+#[inline]
 pub fn eval_ibin(kind: IntBinKind, a: i32, b: i32) -> i32 {
     match kind {
         IntBinKind::Add => a.wrapping_add(b),
@@ -483,6 +484,7 @@ pub fn eval_ibin(kind: IntBinKind, a: i32, b: i32) -> i32 {
 
 /// Evaluate an integer comparison.
 #[must_use]
+#[inline]
 pub fn eval_icmp(kind: CmpKind, a: i32, b: i32) -> bool {
     match kind {
         CmpKind::Eq => a == b,
@@ -505,6 +507,7 @@ pub const CANONICAL_NAN: u32 = 0x7FC0_0000;
 /// the host returns one that depends on operand order, which the
 /// compiler is free to swap for commutative operations.
 #[must_use]
+#[inline]
 pub fn eval_fbin(kind: FpBinKind, a: f32, b: f32) -> f32 {
     let v = match kind {
         FpBinKind::Add => a + b,
@@ -522,6 +525,7 @@ pub fn eval_fbin(kind: FpBinKind, a: f32, b: f32) -> f32 {
 /// Evaluate a multiply-accumulate `acc + a * b`. Product and sum are
 /// rounded separately, exactly as the unfused multiply and add would be.
 #[must_use]
+#[inline]
 pub fn eval_fmac(acc: f32, a: f32, b: f32) -> f32 {
     eval_fbin(FpBinKind::Add, acc, eval_fbin(FpBinKind::Mul, a, b))
 }
@@ -529,6 +533,7 @@ pub fn eval_fmac(acc: f32, a: f32, b: f32) -> f32 {
 /// Evaluate a floating-point comparison (ordered; NaN compares false
 /// except under `Ne`).
 #[must_use]
+#[inline]
 pub fn eval_fcmp(kind: CmpKind, a: f32, b: f32) -> bool {
     match kind {
         CmpKind::Eq => a == b,

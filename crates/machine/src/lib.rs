@@ -54,7 +54,7 @@ pub use insts::{
     AddrOp, CmpKind, FpBinKind, FpOp, FuncUnit, InstAddr, IntBinKind, IntOp, IntOperand, MemAddr,
     MemOp, PcuOp, UnitClass, VliwInst, NUM_FUNC_UNITS,
 };
-pub use program::{DataImage, DataSymbol, Label, VliwFunction, VliwProgram};
+pub use program::{DataImage, DataSymbol, Label, VliwFunction, VliwProgram, MAX_BANK_WORDS};
 pub use regs::{AReg, FReg, IReg, Reg, RegClass, NUM_REGS_PER_FILE};
 pub use word::Word;
 

@@ -10,6 +10,18 @@ use crate::insts::{InstAddr, MemOp, VliwInst};
 use crate::word::Word;
 use crate::Bank;
 
+/// The largest data bank, in words, a program may ask for.
+///
+/// Every bank a simulator allocates is bounded by this, so a program
+/// read from outside the process (a disk-store entry, a binary image)
+/// cannot make it allocate without limit. The linker gives each bank
+/// 16 384 stack words above its static data, and the largest bank of
+/// the 23-benchmark suite (`fft_1024` under Base, 3 072 static words)
+/// ends near 19 500 words; generated programs stay far below that.
+/// One Mi words (4 MiB a bank) leaves a margin of over 50x, and is 16
+/// times the 64 K-word banks a DSP56001's 16-bit addresses reach.
+pub const MAX_BANK_WORDS: u32 = 1 << 20;
+
 /// A named code location, kept for disassembly and diagnostics.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Label {
@@ -212,13 +224,73 @@ impl VliwProgram {
         out
     }
 
+    /// Words of data memory in `bank`: everything below the end of its
+    /// stack.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description when the stack's end overflows `u32` or
+    /// the bank would exceed [`MAX_BANK_WORDS`].
+    pub fn bank_words(&self, bank: Bank) -> Result<u32, String> {
+        let base = match bank {
+            Bank::X => self.x_stack_base,
+            Bank::Y => self.y_stack_base,
+        };
+        let words = base.checked_add(self.stack_words).ok_or_else(|| {
+            format!(
+                "bank {bank}: stack base {base} + {} words overflows",
+                self.stack_words
+            )
+        })?;
+        if words > MAX_BANK_WORDS {
+            return Err(format!(
+                "bank {bank}: {words} words exceed the limit of {MAX_BANK_WORDS}"
+            ));
+        }
+        Ok(words)
+    }
+
     /// Check structural invariants: bank discipline in every instruction
-    /// (unless `dual_ported`), entry in range, and branch targets in range.
+    /// (unless `dual_ported`), entry in range, branch targets in range,
+    /// and a data layout that fits its banks — each bank within
+    /// [`MAX_BANK_WORDS`], each initial image and each copy of every
+    /// symbol inside its bank.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn validate(&self, dual_ported: bool) -> Result<(), String> {
+        let x_words = self.bank_words(Bank::X)?;
+        let y_words = self.bank_words(Bank::Y)?;
+        let words = |bank| match bank {
+            Bank::X => x_words,
+            Bank::Y => y_words,
+        };
+        for (bank, image) in [(Bank::X, &self.x_image), (Bank::Y, &self.y_image)] {
+            if image.init.len() > words(bank) as usize {
+                return Err(format!(
+                    "bank {bank}: initial image of {} words exceeds the bank's {}",
+                    image.init.len(),
+                    words(bank)
+                ));
+            }
+        }
+        for s in &self.symbols {
+            for bank in s.banks() {
+                if s.addr
+                    .checked_add(s.size)
+                    .is_none_or(|end| end > words(bank))
+                {
+                    return Err(format!(
+                        "symbol {} at {} (+{} words) lies outside bank {bank} ({} words)",
+                        s.name,
+                        s.addr,
+                        s.size,
+                        words(bank)
+                    ));
+                }
+            }
+        }
         let n = self.insts.len() as u32;
         if self.entry.0 >= n {
             return Err(format!("entry {} out of range ({n} insts)", self.entry));
@@ -318,6 +390,36 @@ mod tests {
         let mut p = tiny_program();
         p.insts[0].pcu = Some(PcuOp::Jump(InstAddr(42)));
         assert!(p.validate(false).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_layouts_outside_their_banks() {
+        let mut p = tiny_program();
+        p.stack_words = u32::MAX;
+        assert!(p.validate(false).unwrap_err().contains("overflows"));
+
+        let mut p = tiny_program();
+        p.y_stack_base = MAX_BANK_WORDS;
+        assert!(p.validate(false).unwrap_err().contains("limit"));
+
+        let mut p = tiny_program();
+        p.x_image.init = vec![Word::ZERO; 133];
+        assert!(p.validate(false).unwrap_err().contains("initial image"));
+        p.x_image.init.pop();
+        assert!(p.validate(false).is_ok(), "an image may fill its bank");
+
+        let mut p = tiny_program();
+        p.symbols[0].addr = u32::MAX;
+        assert!(p.validate(false).unwrap_err().contains("outside bank X"));
+
+        // A duplicated symbol must fit the other bank too.
+        let mut p = tiny_program();
+        p.y_stack_base = 0;
+        p.stack_words = 8;
+        p.x_stack_base = 100;
+        assert!(p.validate(false).is_ok());
+        p.symbols[0].duplicated = true;
+        assert!(p.validate(false).unwrap_err().contains("outside bank Y"));
     }
 
     #[test]

@@ -9,29 +9,57 @@
 //!
 //! Within a cycle, all operand reads happen before any write commits —
 //! the semantics the compaction pass relies on when it packs
-//! anti-dependent operations into one instruction.
+//! anti-dependent operations into one instruction. A cycle buffers its
+//! register and memory writes on the stack and commits them after its
+//! last read.
 //!
 //! The simulator enforces the memory-bank discipline: in the normal
 //! (single-ported) configuration, the MU0 slot may only hold bank-X
 //! operations and MU1 only bank-Y operations. The *Ideal* configuration
 //! of the paper — a dual-ported memory — is modelled by
 //! [`SimOptions::dual_ported`], which lets either unit reach either
-//! bank. The discipline is a static property of the program, so
-//! [`Simulator::run`] checks it once, through [`VliwProgram::validate`],
-//! before the first cycle.
+//! bank. The discipline is a static property of the program, so it is
+//! checked once, through [`VliwProgram::validate`], with the rest of the
+//! program's structure and its data layout. [`Simulator::new`] allocates
+//! the banks only after that check passes; a program that fails it
+//! allocates nothing and [`Simulator::run`] reports [`SimError::Invalid`].
+//!
+//! # The micro-op table
+//!
+//! [`Simulator::new`] decodes every instruction once. Each occupied
+//! slot except the PCU's becomes one micro-op in a flat table, in slot
+//! order (integer, floating-point, address, then memory units), and
+//! each PC gets a span of that table plus its decoded control
+//! operation. A cycle is one loop over its span: nothing is re-matched
+//! and no slot is skipped. The decode resolves every operand:
+//!
+//! * **One register file.** The address, integer and floating-point
+//!   files are three consecutive runs of one array of words, so every
+//!   register operand is a single `u8` slot. A last, extra slot always
+//!   reads zero: nothing ever writes it.
+//! * **One addressing form.** All four [`MemAddr`] modes become
+//!   `(base, index, offset)`, with the zero slot standing in for any
+//!   missing register. The effective address is
+//!   `u32(base) + i32(index) + offset`, computed in `i64` and checked
+//!   against the bank.
+//! * **Operands resolved.** Immediates, `lea`, register copies within
+//!   or across files, and address arithmetic become the micro-op of the
+//!   operation they compute (a constant, a copy, an integer add).
+//!
+//! # Statistics
 //!
 //! The statistics are static too, except for how often each instruction
-//! runs. [`Simulator::new`] decodes every instruction once into a table
-//! of per-PC facts — operations, loads, stores, dual-memory and
-//! same-bank cycles, unit occupancy — and a cycle only bumps the visit
-//! counter of its PC. At halt, each [`SimStats`] count is the sum over
-//! the program of visits × that PC's fact, and `cycles` is the sum of
-//! the visits. Only the stack high-water marks depend on machine state;
-//! they are updated after the instructions that write a stack pointer.
+//! runs. The same decoding pass builds a table of per-PC facts —
+//! operations, loads, stores, dual-memory and same-bank cycles, unit
+//! occupancy — and a cycle only bumps the visit counter of its PC. At
+//! halt, each [`SimStats`] count is the sum over the program of visits ×
+//! that PC's fact, and `cycles` is the sum of the visits. Only the stack
+//! high-water marks depend on machine state; they are updated after the
+//! instructions that write a stack pointer.
 
 use dsp_machine::{
-    AReg, AddrOp, Bank, FpOp, FuncUnit, IReg, IntOp, IntOperand, MemAddr, MemOp, PcuOp, Reg,
-    VliwInst, VliwProgram, Word, NUM_REGS_PER_FILE,
+    AReg, AddrOp, Bank, CmpKind, DataSymbol, FReg, FpBinKind, FpOp, FuncUnit, IReg, IntBinKind,
+    IntOp, IntOperand, MemAddr, MemOp, PcuOp, Reg, VliwInst, VliwProgram, Word, NUM_REGS_PER_FILE,
 };
 
 /// Simulation options.
@@ -103,7 +131,7 @@ impl SimStats {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The program failed static validation, which includes the
-    /// memory-bank discipline.
+    /// memory-bank discipline and the data layout.
     Invalid(String),
     /// An access fell outside the bank.
     AddrOutOfRange {
@@ -167,8 +195,6 @@ struct PcFacts {
     bank_conflict: bool,
     /// Bit `i` is set when [`FuncUnit::ALL`]`[i]` is busy.
     units: u16,
-    /// Writes `SP_X` or `SP_Y`, so the stack marks may move.
-    writes_sp: bool,
 }
 
 impl PcFacts {
@@ -190,23 +216,12 @@ impl PcFacts {
                 units |= 1 << idx;
             }
         }
-        let mem_ops = || [&inst.mu0, &inst.mu1].into_iter().flatten();
         let mem_count = inst.mem_op_count() as u8;
-        let stores = mem_ops().filter(|op| op.is_store()).count() as u8;
-        let is_sp = |r: AReg| r == AReg::SP_X || r == AReg::SP_Y;
-        let au_writes_sp = [&inst.au0, &inst.au1]
+        let stores = [&inst.mu0, &inst.mu1]
             .into_iter()
             .flatten()
-            .any(|op| match *op {
-                AddrOp::Lea { dst, .. }
-                | AddrOp::AddIndex { dst, .. }
-                | AddrOp::AddImm { dst, .. }
-                | AddrOp::Mov { dst, .. }
-                | AddrOp::FromInt { dst, .. } => is_sp(dst),
-                AddrOp::ToInt { .. } => false,
-            });
-        let load_writes_sp =
-            mem_ops().any(|op| matches!(*op, MemOp::Load { dst: Reg::Addr(r), .. } if is_sp(r)));
+            .filter(|op| op.is_store())
+            .count() as u8;
         let dual_mem = mem_count == 2;
         PcFacts {
             ops: inst.op_count() as u8,
@@ -216,32 +231,463 @@ impl PcFacts {
             bank_conflict: dual_mem
                 && inst.mu0.as_ref().map(MemOp::bank) == inst.mu1.as_ref().map(MemOp::bank),
             units,
-            writes_sp: au_writes_sp || load_writes_sp,
         }
     }
 }
 
-/// The writes of one cycle, held until every read of the cycle is done.
-struct Pending<T, const N: usize> {
-    items: [T; N],
-    len: usize,
+/// First slot of the address file in the unified register file.
+const ADDR_FILE: usize = 0;
+/// First slot of the integer file.
+const INT_FILE: usize = NUM_REGS_PER_FILE;
+/// First slot of the floating-point file.
+const FP_FILE: usize = 2 * NUM_REGS_PER_FILE;
+/// The slot that always reads zero.
+const ZERO: u8 = (3 * NUM_REGS_PER_FILE) as u8;
+/// Slots in the unified register file: three files and the zero slot.
+const REG_SLOTS: usize = 3 * NUM_REGS_PER_FILE + 1;
+/// The two stack pointers' slots.
+const SP_X: u8 = (ADDR_FILE + AReg::SP_X.0 as usize) as u8;
+const SP_Y: u8 = (ADDR_FILE + AReg::SP_Y.0 as usize) as u8;
+
+/// A memory operand: `u32(regs[base]) + i32(regs[index]) + offset`.
+#[derive(Debug, Clone, Copy)]
+struct Addr {
+    base: u8,
+    index: u8,
+    offset: i64,
 }
 
-impl<T: Copy, const N: usize> Pending<T, N> {
-    fn new(fill: T) -> Self {
-        Pending {
-            items: [fill; N],
-            len: 0,
+/// One decoded operation of a functional unit other than the PCU.
+/// Register operands are slots of the unified register file.
+#[derive(Debug, Clone, Copy)]
+enum MicroOp {
+    /// `dst = word`: integer and float immediates, `lea`.
+    Const {
+        dst: u8,
+        word: Word,
+    },
+    /// `dst = src`, within a file or across files.
+    Mov {
+        dst: u8,
+        src: u8,
+    },
+    /// Integer `dst = lhs <kind> rhs`; also address-plus-index.
+    IBin {
+        kind: IntBinKind,
+        dst: u8,
+        lhs: u8,
+        rhs: u8,
+    },
+    /// Integer `dst = lhs <kind> imm`; also address-plus-immediate.
+    IBinImm {
+        kind: IntBinKind,
+        dst: u8,
+        lhs: u8,
+        imm: i32,
+    },
+    ICmp {
+        kind: CmpKind,
+        dst: u8,
+        lhs: u8,
+        rhs: u8,
+    },
+    ICmpImm {
+        kind: CmpKind,
+        dst: u8,
+        lhs: u8,
+        imm: i32,
+    },
+    INeg {
+        dst: u8,
+        src: u8,
+    },
+    INot {
+        dst: u8,
+        src: u8,
+    },
+    FBin {
+        kind: FpBinKind,
+        dst: u8,
+        lhs: u8,
+        rhs: u8,
+    },
+    /// `dst = dst + a * b`.
+    FMac {
+        dst: u8,
+        a: u8,
+        b: u8,
+    },
+    /// Floating-point compare into an integer slot.
+    FCmp {
+        kind: CmpKind,
+        dst: u8,
+        lhs: u8,
+        rhs: u8,
+    },
+    FNeg {
+        dst: u8,
+        src: u8,
+    },
+    ItoF {
+        dst: u8,
+        src: u8,
+    },
+    FtoI {
+        dst: u8,
+        src: u8,
+    },
+    Load {
+        dst: u8,
+        bank: Bank,
+        addr: Addr,
+    },
+    Store {
+        src: u8,
+        bank: Bank,
+        addr: Addr,
+    },
+}
+
+/// A decoded PCU operation.
+#[derive(Debug, Clone, Copy)]
+enum Pcu {
+    /// No control operation: fall through.
+    Next,
+    Jump(u32),
+    BranchNz {
+        cond: u8,
+        target: u32,
+    },
+    BranchZ {
+        cond: u8,
+        target: u32,
+    },
+    Call(u32),
+    Ret,
+    Halt,
+}
+
+/// One PC's entry in the decoded program.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    /// Its micro-ops are `code[start..end]`.
+    start: u32,
+    end: u32,
+    pcu: Pcu,
+    /// Writes `SP_X` or `SP_Y`, so the stack marks may move.
+    writes_sp: bool,
+}
+
+fn slot(file: usize, index: u8) -> Result<u8, String> {
+    if usize::from(index) < NUM_REGS_PER_FILE {
+        Ok((file + usize::from(index)) as u8)
+    } else {
+        Err(format!("register index {index} out of range"))
+    }
+}
+
+fn areg(r: AReg) -> Result<u8, String> {
+    slot(ADDR_FILE, r.0)
+}
+
+fn ireg(r: IReg) -> Result<u8, String> {
+    slot(INT_FILE, r.0)
+}
+
+fn freg(r: FReg) -> Result<u8, String> {
+    slot(FP_FILE, r.0)
+}
+
+fn any_reg(r: Reg) -> Result<u8, String> {
+    match r {
+        Reg::Addr(r) => areg(r),
+        Reg::Int(r) => ireg(r),
+        Reg::Float(r) => freg(r),
+    }
+}
+
+fn decode_addr(addr: MemAddr) -> Result<Addr, String> {
+    Ok(match addr {
+        MemAddr::Absolute(offset) => Addr {
+            base: ZERO,
+            index: ZERO,
+            offset: i64::from(offset),
+        },
+        MemAddr::Base { base, offset } => Addr {
+            base: areg(base)?,
+            index: ZERO,
+            offset: i64::from(offset),
+        },
+        MemAddr::AbsIndex { addr, index } => Addr {
+            base: ZERO,
+            index: ireg(index)?,
+            offset: i64::from(addr),
+        },
+        MemAddr::BaseIndex {
+            base,
+            index,
+            offset,
+        } => Addr {
+            base: areg(base)?,
+            index: ireg(index)?,
+            offset: i64::from(offset),
+        },
+    })
+}
+
+fn decode_int(op: IntOp) -> Result<MicroOp, String> {
+    Ok(match op {
+        IntOp::Bin {
+            kind,
+            dst,
+            lhs,
+            rhs: IntOperand::Reg(rhs),
+        } => MicroOp::IBin {
+            kind,
+            dst: ireg(dst)?,
+            lhs: ireg(lhs)?,
+            rhs: ireg(rhs)?,
+        },
+        IntOp::Bin {
+            kind,
+            dst,
+            lhs,
+            rhs: IntOperand::Imm(imm),
+        } => MicroOp::IBinImm {
+            kind,
+            dst: ireg(dst)?,
+            lhs: ireg(lhs)?,
+            imm,
+        },
+        IntOp::Cmp {
+            kind,
+            dst,
+            lhs,
+            rhs: IntOperand::Reg(rhs),
+        } => MicroOp::ICmp {
+            kind,
+            dst: ireg(dst)?,
+            lhs: ireg(lhs)?,
+            rhs: ireg(rhs)?,
+        },
+        IntOp::Cmp {
+            kind,
+            dst,
+            lhs,
+            rhs: IntOperand::Imm(imm),
+        } => MicroOp::ICmpImm {
+            kind,
+            dst: ireg(dst)?,
+            lhs: ireg(lhs)?,
+            imm,
+        },
+        IntOp::MovImm { dst, imm } => MicroOp::Const {
+            dst: ireg(dst)?,
+            word: Word::from_i32(imm),
+        },
+        IntOp::Mov { dst, src } => MicroOp::Mov {
+            dst: ireg(dst)?,
+            src: ireg(src)?,
+        },
+        IntOp::Neg { dst, src } => MicroOp::INeg {
+            dst: ireg(dst)?,
+            src: ireg(src)?,
+        },
+        IntOp::Not { dst, src } => MicroOp::INot {
+            dst: ireg(dst)?,
+            src: ireg(src)?,
+        },
+    })
+}
+
+fn decode_fp(op: FpOp) -> Result<MicroOp, String> {
+    Ok(match op {
+        FpOp::Bin {
+            kind,
+            dst,
+            lhs,
+            rhs,
+        } => MicroOp::FBin {
+            kind,
+            dst: freg(dst)?,
+            lhs: freg(lhs)?,
+            rhs: freg(rhs)?,
+        },
+        FpOp::Mac { dst, a, b } => MicroOp::FMac {
+            dst: freg(dst)?,
+            a: freg(a)?,
+            b: freg(b)?,
+        },
+        FpOp::Cmp {
+            kind,
+            dst,
+            lhs,
+            rhs,
+        } => MicroOp::FCmp {
+            kind,
+            dst: ireg(dst)?,
+            lhs: freg(lhs)?,
+            rhs: freg(rhs)?,
+        },
+        FpOp::MovImm { dst, imm } => MicroOp::Const {
+            dst: freg(dst)?,
+            word: Word::from_f32(imm),
+        },
+        FpOp::Mov { dst, src } => MicroOp::Mov {
+            dst: freg(dst)?,
+            src: freg(src)?,
+        },
+        FpOp::Neg { dst, src } => MicroOp::FNeg {
+            dst: freg(dst)?,
+            src: freg(src)?,
+        },
+        FpOp::CvtItoF { dst, src } => MicroOp::ItoF {
+            dst: freg(dst)?,
+            src: ireg(src)?,
+        },
+        FpOp::CvtFtoI { dst, src } => MicroOp::FtoI {
+            dst: ireg(dst)?,
+            src: freg(src)?,
+        },
+    })
+}
+
+fn decode_addr_op(op: AddrOp) -> Result<MicroOp, String> {
+    // Address arithmetic wraps modulo 2^32, exactly as integer addition.
+    Ok(match op {
+        AddrOp::Lea { dst, addr } => MicroOp::Const {
+            dst: areg(dst)?,
+            word: Word(addr),
+        },
+        AddrOp::AddIndex { dst, base, index } => MicroOp::IBin {
+            kind: IntBinKind::Add,
+            dst: areg(dst)?,
+            lhs: areg(base)?,
+            rhs: ireg(index)?,
+        },
+        AddrOp::AddImm { dst, base, imm } => MicroOp::IBinImm {
+            kind: IntBinKind::Add,
+            dst: areg(dst)?,
+            lhs: areg(base)?,
+            imm,
+        },
+        AddrOp::Mov { dst, src } => MicroOp::Mov {
+            dst: areg(dst)?,
+            src: areg(src)?,
+        },
+        AddrOp::ToInt { dst, src } => MicroOp::Mov {
+            dst: ireg(dst)?,
+            src: areg(src)?,
+        },
+        AddrOp::FromInt { dst, src } => MicroOp::Mov {
+            dst: areg(dst)?,
+            src: ireg(src)?,
+        },
+    })
+}
+
+fn decode_mem(op: MemOp) -> Result<MicroOp, String> {
+    Ok(match op {
+        MemOp::Load { dst, addr, bank } => MicroOp::Load {
+            dst: any_reg(dst)?,
+            bank,
+            addr: decode_addr(addr)?,
+        },
+        MemOp::Store { src, addr, bank } => MicroOp::Store {
+            src: any_reg(src)?,
+            bank,
+            addr: decode_addr(addr)?,
+        },
+    })
+}
+
+fn decode_pcu(op: Option<PcuOp>) -> Result<Pcu, String> {
+    Ok(match op {
+        None => Pcu::Next,
+        Some(PcuOp::Jump(t)) => Pcu::Jump(t.0),
+        Some(PcuOp::BranchNz { cond, target }) => Pcu::BranchNz {
+            cond: ireg(cond)?,
+            target: target.0,
+        },
+        Some(PcuOp::BranchZ { cond, target }) => Pcu::BranchZ {
+            cond: ireg(cond)?,
+            target: target.0,
+        },
+        Some(PcuOp::Call(t)) => Pcu::Call(t.0),
+        Some(PcuOp::Ret) => Pcu::Ret,
+        Some(PcuOp::Halt) => Pcu::Halt,
+    })
+}
+
+/// Append the micro-ops of `inst` to `code` in slot order; return its
+/// control operation and whether a micro-op writes a stack pointer.
+fn decode_inst(inst: &VliwInst, code: &mut Vec<MicroOp>) -> Result<(Pcu, bool), String> {
+    let first = code.len();
+    for op in [inst.du0, inst.du1].into_iter().flatten() {
+        code.push(decode_int(op)?);
+    }
+    for op in [inst.fpu0, inst.fpu1].into_iter().flatten() {
+        code.push(decode_fp(op)?);
+    }
+    for op in [inst.au0, inst.au1].into_iter().flatten() {
+        code.push(decode_addr_op(op)?);
+    }
+    for op in [inst.mu0, inst.mu1].into_iter().flatten() {
+        code.push(decode_mem(op)?);
+    }
+    let writes_sp = code[first..].iter().any(|op| match *op {
+        MicroOp::Const { dst, .. }
+        | MicroOp::Mov { dst, .. }
+        | MicroOp::IBin { dst, .. }
+        | MicroOp::IBinImm { dst, .. }
+        | MicroOp::Load { dst, .. } => dst == SP_X || dst == SP_Y,
+        _ => false,
+    });
+    Ok((decode_pcu(inst.pcu)?, writes_sp))
+}
+
+/// Everything [`Simulator::new`] derives from a valid program.
+#[derive(Default)]
+struct Decoded {
+    code: Vec<MicroOp>,
+    /// Parallel to `program.insts`.
+    spans: Vec<Span>,
+    /// Parallel to `program.insts`.
+    facts: Vec<PcFacts>,
+    /// Bank X then bank Y, sized and initialized.
+    mem: [Vec<Word>; 2],
+}
+
+impl Decoded {
+    /// Validate `program`, decode it in one pass, then allocate its
+    /// banks.
+    fn new(program: &VliwProgram, dual_ported: bool) -> Result<Decoded, String> {
+        program.validate(dual_ported)?;
+        let n = program.insts.len();
+        let mut d = Decoded {
+            code: Vec::with_capacity(2 * n),
+            spans: Vec::with_capacity(n),
+            facts: Vec::with_capacity(n),
+            mem: Default::default(),
+        };
+        for (pc, inst) in program.insts.iter().enumerate() {
+            let start = d.code.len() as u32;
+            let (pcu, writes_sp) =
+                decode_inst(inst, &mut d.code).map_err(|e| format!("inst {pc}: {e}"))?;
+            d.spans.push(Span {
+                start,
+                end: d.code.len() as u32,
+                pcu,
+                writes_sp,
+            });
+            d.facts.push(PcFacts::decode(inst));
         }
-    }
-
-    fn push(&mut self, item: T) {
-        self.items[self.len] = item;
-        self.len += 1;
-    }
-
-    fn as_slice(&self) -> &[T] {
-        &self.items[..self.len]
+        let images = [(Bank::X, &program.x_image), (Bank::Y, &program.y_image)];
+        for (mem, (bank, image)) in d.mem.iter_mut().zip(images) {
+            mem.clone_from(&image.init);
+            mem.resize(program.bank_words(bank)? as usize, Word::ZERO);
+        }
+        Ok(d)
     }
 }
 
@@ -255,16 +701,15 @@ const MAX_MEM_WRITES: usize = 2;
 pub struct Simulator<'p> {
     program: &'p VliwProgram,
     options: SimOptions,
-    aregs: [Word; NUM_REGS_PER_FILE],
-    iregs: [Word; NUM_REGS_PER_FILE],
-    fregs: [Word; NUM_REGS_PER_FILE],
-    mem_x: Vec<Word>,
-    mem_y: Vec<Word>,
+    /// Why the program cannot run; nothing was decoded or allocated.
+    invalid: Option<String>,
+    /// The address, integer and floating-point files, then the zero slot.
+    regs: [Word; REG_SLOTS],
+    /// The decoded program and the two banks.
+    decoded: Decoded,
     call_stack: Vec<u32>,
     pc: u32,
     halted: bool,
-    /// Static facts per PC, parallel to `program.insts`.
-    facts: Vec<PcFacts>,
     /// Times each PC has executed, parallel to `program.insts`.
     visits: Vec<u64>,
     /// Cycles executed so far (the fuel meter; equals the visit sum).
@@ -278,37 +723,33 @@ pub struct Simulator<'p> {
 const CALL_STACK_DEPTH: usize = 4096;
 
 impl<'p> Simulator<'p> {
-    /// Create a simulator with memories initialized from the program
-    /// images and the stack pointers pointing at their bases, and decode
-    /// the program's per-PC facts.
+    /// Validate the program and decode its micro-op table, then create
+    /// the memories initialized from the program images and the stack
+    /// pointers pointing at their bases. An invalid program gets no
+    /// memory; [`Simulator::run`] reports why.
     #[must_use]
     pub fn new(program: &'p VliwProgram, options: SimOptions) -> Simulator<'p> {
-        let x_size = (program.x_stack_base + program.stack_words) as usize;
-        let y_size = (program.y_stack_base + program.stack_words) as usize;
-        let mut mem_x = vec![Word::ZERO; x_size.max(program.x_image.init.len())];
-        let mut mem_y = vec![Word::ZERO; y_size.max(program.y_image.init.len())];
-        mem_x[..program.x_image.init.len()].copy_from_slice(&program.x_image.init);
-        mem_y[..program.y_image.init.len()].copy_from_slice(&program.y_image.init);
-        let mut sim = Simulator {
+        let (decoded, invalid) = match Decoded::new(program, options.dual_ported) {
+            Ok(d) => (d, None),
+            Err(e) => (Decoded::default(), Some(e)),
+        };
+        let mut regs = [Word::ZERO; REG_SLOTS];
+        regs[usize::from(SP_X)] = Word(program.x_stack_base);
+        regs[usize::from(SP_Y)] = Word(program.y_stack_base);
+        Simulator {
             program,
             options,
-            aregs: [Word::ZERO; NUM_REGS_PER_FILE],
-            iregs: [Word::ZERO; NUM_REGS_PER_FILE],
-            fregs: [Word::ZERO; NUM_REGS_PER_FILE],
-            mem_x,
-            mem_y,
+            invalid,
+            regs,
+            visits: vec![0; decoded.spans.len()],
+            decoded,
             call_stack: Vec::new(),
             pc: program.entry.0,
             halted: false,
-            facts: program.insts.iter().map(PcFacts::decode).collect(),
-            visits: vec![0; program.insts.len()],
             cycles: 0,
             max_stack_x: 0,
             max_stack_y: 0,
-        };
-        sim.aregs[AReg::SP_X.index()] = Word(program.x_stack_base);
-        sim.aregs[AReg::SP_Y.index()] = Word(program.y_stack_base);
-        sim
+        }
     }
 
     /// Run until `halt` or an error.
@@ -316,12 +757,12 @@ impl<'p> Simulator<'p> {
     /// # Errors
     ///
     /// Returns a [`SimError`] on validation failure (bank discipline
-    /// included), out-of-range accesses or program counters, call-stack
-    /// faults, or fuel exhaustion.
+    /// and data layout included), out-of-range accesses or program
+    /// counters, call-stack faults, or fuel exhaustion.
     pub fn run(&mut self) -> Result<SimStats, SimError> {
-        self.program
-            .validate(self.options.dual_ported)
-            .map_err(SimError::Invalid)?;
+        if let Some(e) = &self.invalid {
+            return Err(SimError::Invalid(e.clone()));
+        }
         while !self.halted {
             if self.cycles >= self.options.fuel {
                 return Err(SimError::FuelExhausted);
@@ -339,7 +780,7 @@ impl<'p> Simulator<'p> {
             max_stack_y: self.max_stack_y,
             ..SimStats::default()
         };
-        for (f, &n) in self.facts.iter().zip(&self.visits) {
+        for (f, &n) in self.decoded.facts.iter().zip(&self.visits) {
             if n == 0 {
                 continue;
             }
@@ -362,80 +803,135 @@ impl<'p> Simulator<'p> {
     /// Execute one cycle of a validated program.
     fn step(&mut self) -> Result<(), SimError> {
         let pc = self.pc;
-        let inst = self
-            .program
-            .insts
+        let span = *self
+            .decoded
+            .spans
             .get(pc as usize)
             .ok_or(SimError::PcOutOfRange { pc })?;
         self.visits[pc as usize] += 1;
 
         // Phase 1: read everything and compute results against pre-state.
-        let mut reg_writes: Pending<(Reg, Word), MAX_REG_WRITES> =
-            Pending::new((Reg::Int(IReg(0)), Word::ZERO));
-        let mut mem_writes: Pending<(Bank, u32, Word), MAX_MEM_WRITES> =
-            Pending::new((Bank::X, 0, Word::ZERO));
+        let regs = &self.regs;
+        let mem = &self.decoded.mem;
+        let r = |s: u8| regs[usize::from(s)];
+        let mut reg_writes = [(ZERO, Word::ZERO); MAX_REG_WRITES];
+        let mut n_reg = 0;
+        let mut mem_writes = [(Bank::X, 0u32, Word::ZERO); MAX_MEM_WRITES];
+        let mut n_mem = 0;
+        for op in &self.decoded.code[span.start as usize..span.end as usize] {
+            let write = match *op {
+                MicroOp::Const { dst, word } => (dst, word),
+                MicroOp::Mov { dst, src } => (dst, r(src)),
+                MicroOp::IBin {
+                    kind,
+                    dst,
+                    lhs,
+                    rhs,
+                } => (
+                    dst,
+                    Word::from_i32(eval_ibin(kind, r(lhs).as_i32(), r(rhs).as_i32())),
+                ),
+                MicroOp::IBinImm {
+                    kind,
+                    dst,
+                    lhs,
+                    imm,
+                } => (dst, Word::from_i32(eval_ibin(kind, r(lhs).as_i32(), imm))),
+                MicroOp::ICmp {
+                    kind,
+                    dst,
+                    lhs,
+                    rhs,
+                } => (
+                    dst,
+                    Word::from_i32(i32::from(eval_icmp(kind, r(lhs).as_i32(), r(rhs).as_i32()))),
+                ),
+                MicroOp::ICmpImm {
+                    kind,
+                    dst,
+                    lhs,
+                    imm,
+                } => (
+                    dst,
+                    Word::from_i32(i32::from(eval_icmp(kind, r(lhs).as_i32(), imm))),
+                ),
+                MicroOp::INeg { dst, src } => (dst, Word::from_i32(r(src).as_i32().wrapping_neg())),
+                MicroOp::INot { dst, src } => (dst, Word::from_i32(!r(src).as_i32())),
+                MicroOp::FBin {
+                    kind,
+                    dst,
+                    lhs,
+                    rhs,
+                } => (
+                    dst,
+                    Word::from_f32(eval_fbin(kind, r(lhs).as_f32(), r(rhs).as_f32())),
+                ),
+                MicroOp::FMac { dst, a, b } => (
+                    dst,
+                    Word::from_f32(eval_fmac(r(dst).as_f32(), r(a).as_f32(), r(b).as_f32())),
+                ),
+                MicroOp::FCmp {
+                    kind,
+                    dst,
+                    lhs,
+                    rhs,
+                } => (
+                    dst,
+                    Word::from_i32(i32::from(eval_fcmp(kind, r(lhs).as_f32(), r(rhs).as_f32()))),
+                ),
+                MicroOp::FNeg { dst, src } => (dst, Word::from_f32(-r(src).as_f32())),
+                MicroOp::ItoF { dst, src } => (dst, Word::from_f32(r(src).as_i32() as f32)),
+                MicroOp::FtoI { dst, src } => (dst, Word::from_i32(r(src).as_f32() as i32)),
+                MicroOp::Load { dst, bank, addr } => {
+                    let bank_mem = &mem[bank as usize];
+                    (dst, bank_mem[effective(regs, addr, bank_mem, pc, bank)?])
+                }
+                MicroOp::Store { src, bank, addr } => {
+                    let a = effective(regs, addr, &mem[bank as usize], pc, bank)?;
+                    mem_writes[n_mem] = (bank, a as u32, r(src));
+                    n_mem += 1;
+                    continue;
+                }
+            };
+            reg_writes[n_reg] = write;
+            n_reg += 1;
+        }
         let mut next_pc = pc + 1;
-        let mut push_ra: Option<u32> = None;
+        let mut push_ra = false;
         let mut pop_ra = false;
-
-        for op in [&inst.du0, &inst.du1].into_iter().flatten() {
-            let (dst, w) = self.eval_int(op);
-            reg_writes.push((Reg::Int(dst), w));
-        }
-        for op in [&inst.fpu0, &inst.fpu1].into_iter().flatten() {
-            reg_writes.push(self.eval_fp(op));
-        }
-        for op in [&inst.au0, &inst.au1].into_iter().flatten() {
-            reg_writes.push(self.eval_addr(op));
-        }
-        for op in [&inst.mu0, &inst.mu1].into_iter().flatten() {
-            match op {
-                MemOp::Load { dst, addr, bank } => {
-                    let a = self.effective(addr, pc, *bank)?;
-                    reg_writes.push((*dst, self.mem(*bank)[a as usize]));
-                }
-                MemOp::Store { src, addr, bank } => {
-                    let a = self.effective(addr, pc, *bank)?;
-                    mem_writes.push((*bank, a, self.read_reg(*src)));
+        match span.pcu {
+            Pcu::Next => {}
+            Pcu::Jump(t) => next_pc = t,
+            Pcu::BranchNz { cond, target } => {
+                if r(cond).is_truthy() {
+                    next_pc = target;
                 }
             }
-        }
-        if let Some(op) = &inst.pcu {
-            match op {
-                PcuOp::Jump(t) => next_pc = t.0,
-                PcuOp::BranchNz { cond, target } => {
-                    if self.iregs[cond.index()].is_truthy() {
-                        next_pc = target.0;
-                    }
-                }
-                PcuOp::BranchZ { cond, target } => {
-                    if !self.iregs[cond.index()].is_truthy() {
-                        next_pc = target.0;
-                    }
-                }
-                PcuOp::Call(t) => {
-                    push_ra = Some(pc + 1);
-                    next_pc = t.0;
-                }
-                PcuOp::Ret => pop_ra = true,
-                PcuOp::Halt => {
-                    self.halted = true;
+            Pcu::BranchZ { cond, target } => {
+                if !r(cond).is_truthy() {
+                    next_pc = target;
                 }
             }
+            Pcu::Call(t) => {
+                push_ra = true;
+                next_pc = t;
+            }
+            Pcu::Ret => pop_ra = true,
+            Pcu::Halt => self.halted = true,
         }
 
         // Phase 2: commit.
-        for &(r, w) in reg_writes.as_slice() {
-            self.write_reg(r, w);
+        for &(dst, w) in &reg_writes[..n_reg] {
+            self.regs[usize::from(dst)] = w;
         }
-        for &(bank, a, w) in mem_writes.as_slice() {
-            self.mem_mut(bank)[a as usize] = w;
+        for &(bank, a, w) in &mem_writes[..n_mem] {
+            self.decoded.mem[bank as usize][a as usize] = w;
         }
-        if let Some(ra) = push_ra {
+        if push_ra {
             if self.call_stack.len() >= CALL_STACK_DEPTH {
                 return Err(SimError::CallStackOverflow { pc });
             }
-            self.call_stack.push(ra);
+            self.call_stack.push(pc + 1);
         }
         if pop_ra {
             next_pc = self
@@ -445,9 +941,9 @@ impl<'p> Simulator<'p> {
         }
         self.pc = next_pc;
 
-        if self.facts[pc as usize].writes_sp {
-            let spx = self.aregs[AReg::SP_X.index()].0;
-            let spy = self.aregs[AReg::SP_Y.index()].0;
+        if span.writes_sp {
+            let spx = self.regs[usize::from(SP_X)].0;
+            let spy = self.regs[usize::from(SP_Y)].0;
             let hx = spx.saturating_sub(self.program.x_stack_base);
             let hy = spy.saturating_sub(self.program.y_stack_base);
             self.max_stack_x = self.max_stack_x.max(hx);
@@ -456,171 +952,19 @@ impl<'p> Simulator<'p> {
         Ok(())
     }
 
-    fn eval_int(&self, op: &IntOp) -> (dsp_machine::IReg, Word) {
-        let iop = |o: IntOperand| match o {
-            IntOperand::Reg(r) => self.iregs[r.index()].as_i32(),
-            IntOperand::Imm(v) => v,
-        };
-        match *op {
-            IntOp::Bin {
-                kind,
-                dst,
-                lhs,
-                rhs,
-            } => {
-                let v = eval_ibin(kind, self.iregs[lhs.index()].as_i32(), iop(rhs));
-                (dst, Word::from_i32(v))
-            }
-            IntOp::Cmp {
-                kind,
-                dst,
-                lhs,
-                rhs,
-            } => {
-                let v = eval_icmp(kind, self.iregs[lhs.index()].as_i32(), iop(rhs));
-                (dst, Word::from_i32(i32::from(v)))
-            }
-            IntOp::MovImm { dst, imm } => (dst, Word::from_i32(imm)),
-            IntOp::Mov { dst, src } => (dst, self.iregs[src.index()]),
-            IntOp::Neg { dst, src } => (
-                dst,
-                Word::from_i32(self.iregs[src.index()].as_i32().wrapping_neg()),
-            ),
-            IntOp::Not { dst, src } => (dst, Word::from_i32(!self.iregs[src.index()].as_i32())),
-        }
-    }
-
-    fn eval_fp(&self, op: &FpOp) -> (Reg, Word) {
-        match *op {
-            FpOp::Bin {
-                kind,
-                dst,
-                lhs,
-                rhs,
-            } => {
-                let a = self.fregs[lhs.index()].as_f32();
-                let b = self.fregs[rhs.index()].as_f32();
-                (Reg::Float(dst), Word::from_f32(eval_fbin(kind, a, b)))
-            }
-            FpOp::Mac { dst, a, b } => {
-                let v = eval_fmac(
-                    self.fregs[dst.index()].as_f32(),
-                    self.fregs[a.index()].as_f32(),
-                    self.fregs[b.index()].as_f32(),
-                );
-                (Reg::Float(dst), Word::from_f32(v))
-            }
-            FpOp::Cmp {
-                kind,
-                dst,
-                lhs,
-                rhs,
-            } => {
-                let a = self.fregs[lhs.index()].as_f32();
-                let b = self.fregs[rhs.index()].as_f32();
-                (
-                    Reg::Int(dst),
-                    Word::from_i32(i32::from(eval_fcmp(kind, a, b))),
-                )
-            }
-            FpOp::MovImm { dst, imm } => (Reg::Float(dst), Word::from_f32(imm)),
-            FpOp::Mov { dst, src } => (Reg::Float(dst), self.fregs[src.index()]),
-            FpOp::Neg { dst, src } => (
-                Reg::Float(dst),
-                Word::from_f32(-self.fregs[src.index()].as_f32()),
-            ),
-            FpOp::CvtItoF { dst, src } => (
-                Reg::Float(dst),
-                Word::from_f32(self.iregs[src.index()].as_i32() as f32),
-            ),
-            FpOp::CvtFtoI { dst, src } => (
-                Reg::Int(dst),
-                Word::from_i32(self.fregs[src.index()].as_f32() as i32),
-            ),
-        }
-    }
-
-    fn eval_addr(&self, op: &AddrOp) -> (Reg, Word) {
-        match *op {
-            AddrOp::Lea { dst, addr } => (Reg::Addr(dst), Word(addr)),
-            AddrOp::AddIndex { dst, base, index } => {
-                let v = (self.aregs[base.index()].0 as i64
-                    + i64::from(self.iregs[index.index()].as_i32())) as u32;
-                (Reg::Addr(dst), Word(v))
-            }
-            AddrOp::AddImm { dst, base, imm } => {
-                let v = (self.aregs[base.index()].0 as i64 + i64::from(imm)) as u32;
-                (Reg::Addr(dst), Word(v))
-            }
-            AddrOp::Mov { dst, src } => (Reg::Addr(dst), self.aregs[src.index()]),
-            AddrOp::ToInt { dst, src } => (Reg::Int(dst), self.aregs[src.index()]),
-            AddrOp::FromInt { dst, src } => (Reg::Addr(dst), self.iregs[src.index()]),
-        }
-    }
-
-    fn effective(&self, addr: &MemAddr, pc: u32, bank: Bank) -> Result<u32, SimError> {
-        let a: i64 = match *addr {
-            MemAddr::Absolute(a) => i64::from(a),
-            MemAddr::Base { base, offset } => {
-                i64::from(self.aregs[base.index()].0) + i64::from(offset)
-            }
-            MemAddr::AbsIndex { addr, index } => {
-                i64::from(addr) + i64::from(self.iregs[index.index()].as_i32())
-            }
-            MemAddr::BaseIndex {
-                base,
-                index,
-                offset,
-            } => {
-                i64::from(self.aregs[base.index()].0)
-                    + i64::from(self.iregs[index.index()].as_i32())
-                    + i64::from(offset)
-            }
-        };
-        let size = self.mem(bank).len() as i64;
-        if a < 0 || a >= size {
-            return Err(SimError::AddrOutOfRange { pc, bank, addr: a });
-        }
-        Ok(a as u32)
-    }
-
-    fn mem(&self, bank: Bank) -> &[Word] {
-        match bank {
-            Bank::X => &self.mem_x,
-            Bank::Y => &self.mem_y,
-        }
-    }
-
-    fn mem_mut(&mut self, bank: Bank) -> &mut [Word] {
-        match bank {
-            Bank::X => &mut self.mem_x,
-            Bank::Y => &mut self.mem_y,
-        }
-    }
-
-    fn read_reg(&self, r: Reg) -> Word {
-        match r {
-            Reg::Addr(r) => self.aregs[r.index()],
-            Reg::Int(r) => self.iregs[r.index()],
-            Reg::Float(r) => self.fregs[r.index()],
-        }
-    }
-
-    fn write_reg(&mut self, r: Reg, w: Word) {
-        match r {
-            Reg::Addr(r) => self.aregs[r.index()] = w,
-            Reg::Int(r) => self.iregs[r.index()] = w,
-            Reg::Float(r) => self.fregs[r.index()] = w,
-        }
+    /// The words of `sym` in `bank`, or `None` when the program never
+    /// got its memory.
+    fn symbol_words(&self, sym: &DataSymbol, bank: Bank) -> Option<Vec<Word>> {
+        let start = sym.addr as usize;
+        let words = self.decoded.mem[bank as usize].get(start..start + sym.size as usize)?;
+        Some(words.to_vec())
     }
 
     /// Read the contents of a named data symbol from its home bank.
     #[must_use]
     pub fn read_symbol(&self, name: &str) -> Option<Vec<Word>> {
         let sym = self.program.symbol(name)?;
-        let mem = self.mem(sym.home);
-        let start = sym.addr as usize;
-        Some(mem[start..start + sym.size as usize].to_vec())
+        self.symbol_words(sym, sym.home)
     }
 
     /// Read the *secondary* copy of a duplicated symbol (same address,
@@ -631,35 +975,46 @@ impl<'p> Simulator<'p> {
         if !sym.duplicated {
             return None;
         }
-        let mem = self.mem(sym.home.other());
-        let start = sym.addr as usize;
-        Some(mem[start..start + sym.size as usize].to_vec())
+        self.symbol_words(sym, sym.home.other())
     }
 
     /// Snapshot every data symbol's final contents, in symbol-table
     /// order: the simulator side of a differential comparison against
     /// the reference interpreter's global state. Duplicated symbols read
     /// from their home bank (the copies' coherence is a separate
-    /// invariant, checked via [`Simulator::read_symbol_copy`]).
+    /// invariant, checked via [`Simulator::read_symbol_copy`]). An
+    /// invalid program has no memory, so its snapshot is empty.
     #[must_use]
     pub fn snapshot_symbols(&self) -> Vec<(String, Vec<Word>)> {
         self.program
             .symbols
             .iter()
-            .map(|s| {
-                (
-                    s.name.clone(),
-                    self.read_symbol(&s.name).expect("symbol table name"),
-                )
-            })
+            .filter_map(|s| Some((s.name.clone(), self.symbol_words(s, s.home)?)))
             .collect()
     }
 
     /// Current value of an integer register (for tests).
     #[must_use]
     pub fn ireg(&self, i: usize) -> Word {
-        self.iregs[i]
+        self.regs[INT_FILE..INT_FILE + NUM_REGS_PER_FILE][i]
     }
+}
+
+/// The word address `addr` reaches in a bank of `mem.len()` words.
+fn effective(
+    regs: &[Word; REG_SLOTS],
+    addr: Addr,
+    mem: &[Word],
+    pc: u32,
+    bank: Bank,
+) -> Result<usize, SimError> {
+    let a = i64::from(regs[usize::from(addr.base)].0)
+        + i64::from(regs[usize::from(addr.index)].as_i32())
+        + addr.offset;
+    if a < 0 || a >= mem.len() as i64 {
+        return Err(SimError::AddrOutOfRange { pc, bank, addr: a });
+    }
+    Ok(a as usize)
 }
 
 // The arithmetic helpers are shared with the IR interpreter so the two
@@ -1105,6 +1460,81 @@ mod tests {
         p.insts = vec![load, reset, halt()];
         let stats = Simulator::new(&p, SimOptions::default()).run().unwrap();
         assert_eq!((stats.max_stack_x, stats.max_stack_y), (0, 5));
+    }
+
+    #[test]
+    fn a_layout_outside_its_banks_is_invalid_and_allocates_nothing() {
+        type Craft = (&'static str, fn(&mut VliwProgram));
+        let crafts: [Craft; 3] = [
+            ("overflows", |p| p.stack_words = u32::MAX),
+            ("limit", |p| p.y_stack_base = dsp_machine::MAX_BANK_WORDS),
+            // Bank X holds 16 + 64 words.
+            ("outside bank X", |p| p.symbols[0].addr = 77),
+        ];
+        for (expect, craft) in crafts {
+            let mut p = program(vec![halt()]);
+            craft(&mut p);
+            let mut sim = Simulator::new(&p, SimOptions::default());
+            assert!(
+                matches!(sim.run(), Err(SimError::Invalid(e)) if e.contains(expect)),
+                "{expect}"
+            );
+            assert!(sim.decoded.mem.iter().all(Vec::is_empty));
+            assert!(sim.decoded.code.is_empty());
+            assert_eq!(sim.read_symbol("vy"), None);
+            assert!(sim.snapshot_symbols().is_empty());
+        }
+    }
+
+    #[test]
+    fn a_register_outside_its_file_is_invalid() {
+        let mut bad = VliwInst::new();
+        bad.fpu1 = Some(FpOp::Mov {
+            dst: FReg(3),
+            src: FReg(32),
+        });
+        let p = program(vec![halt(), bad]);
+        let mut sim = Simulator::new(&p, SimOptions::default());
+        assert_eq!(
+            sim.run(),
+            Err(SimError::Invalid(
+                "inst 1: register index 32 out of range".into()
+            ))
+        );
+    }
+
+    #[test]
+    fn every_addressing_mode_decodes_to_base_index_offset() {
+        let modes = [
+            (MemAddr::Absolute(7), (ZERO, ZERO, 7)),
+            (
+                MemAddr::Base {
+                    base: AReg(2),
+                    offset: -3,
+                },
+                (2, ZERO, -3),
+            ),
+            (
+                MemAddr::AbsIndex {
+                    addr: -1,
+                    index: IReg(4),
+                },
+                (ZERO, 32 + 4, -1),
+            ),
+            (
+                MemAddr::BaseIndex {
+                    base: AReg::SP_Y,
+                    index: IReg(31),
+                    offset: 5,
+                },
+                (SP_Y, 63, 5),
+            ),
+        ];
+        for (mode, (base, index, offset)) in modes {
+            let a = decode_addr(mode).unwrap();
+            assert_eq!((a.base, a.index, a.offset), (base, index, offset), "{mode}");
+        }
+        assert_eq!(usize::from(ZERO), REG_SLOTS - 1);
     }
 
     #[test]
