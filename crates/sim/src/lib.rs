@@ -378,27 +378,31 @@ struct Span {
     writes_sp: bool,
 }
 
-fn slot(file: usize, index: u8) -> Result<u8, String> {
+/// A register index outside its file, found while decoding.
+#[derive(Debug)]
+struct BadReg(u8);
+
+fn slot(file: usize, index: u8) -> Result<u8, BadReg> {
     if usize::from(index) < NUM_REGS_PER_FILE {
         Ok((file + usize::from(index)) as u8)
     } else {
-        Err(format!("register index {index} out of range"))
+        Err(BadReg(index))
     }
 }
 
-fn areg(r: AReg) -> Result<u8, String> {
+fn areg(r: AReg) -> Result<u8, BadReg> {
     slot(ADDR_FILE, r.0)
 }
 
-fn ireg(r: IReg) -> Result<u8, String> {
+fn ireg(r: IReg) -> Result<u8, BadReg> {
     slot(INT_FILE, r.0)
 }
 
-fn freg(r: FReg) -> Result<u8, String> {
+fn freg(r: FReg) -> Result<u8, BadReg> {
     slot(FP_FILE, r.0)
 }
 
-fn any_reg(r: Reg) -> Result<u8, String> {
+fn any_reg(r: Reg) -> Result<u8, BadReg> {
     match r {
         Reg::Addr(r) => areg(r),
         Reg::Int(r) => ireg(r),
@@ -406,7 +410,7 @@ fn any_reg(r: Reg) -> Result<u8, String> {
     }
 }
 
-fn decode_addr(addr: MemAddr) -> Result<Addr, String> {
+fn decode_addr(addr: MemAddr) -> Result<Addr, BadReg> {
     Ok(match addr {
         MemAddr::Absolute(offset) => Addr {
             base: ZERO,
@@ -435,8 +439,8 @@ fn decode_addr(addr: MemAddr) -> Result<Addr, String> {
     })
 }
 
-fn decode_int(op: IntOp) -> Result<MicroOp, String> {
-    Ok(match op {
+fn decode_int(op: &IntOp) -> Result<MicroOp, BadReg> {
+    Ok(match *op {
         IntOp::Bin {
             kind,
             dst,
@@ -500,8 +504,8 @@ fn decode_int(op: IntOp) -> Result<MicroOp, String> {
     })
 }
 
-fn decode_fp(op: FpOp) -> Result<MicroOp, String> {
-    Ok(match op {
+fn decode_fp(op: &FpOp) -> Result<MicroOp, BadReg> {
+    Ok(match *op {
         FpOp::Bin {
             kind,
             dst,
@@ -552,9 +556,9 @@ fn decode_fp(op: FpOp) -> Result<MicroOp, String> {
     })
 }
 
-fn decode_addr_op(op: AddrOp) -> Result<MicroOp, String> {
+fn decode_addr_op(op: &AddrOp) -> Result<MicroOp, BadReg> {
     // Address arithmetic wraps modulo 2^32, exactly as integer addition.
-    Ok(match op {
+    Ok(match *op {
         AddrOp::Lea { dst, addr } => MicroOp::Const {
             dst: areg(dst)?,
             word: Word(addr),
@@ -586,8 +590,8 @@ fn decode_addr_op(op: AddrOp) -> Result<MicroOp, String> {
     })
 }
 
-fn decode_mem(op: MemOp) -> Result<MicroOp, String> {
-    Ok(match op {
+fn decode_mem(op: &MemOp) -> Result<MicroOp, BadReg> {
+    Ok(match *op {
         MemOp::Load { dst, addr, bank } => MicroOp::Load {
             dst: any_reg(dst)?,
             bank,
@@ -601,7 +605,7 @@ fn decode_mem(op: MemOp) -> Result<MicroOp, String> {
     })
 }
 
-fn decode_pcu(op: Option<PcuOp>) -> Result<Pcu, String> {
+fn decode_pcu(op: Option<PcuOp>) -> Result<Pcu, BadReg> {
     Ok(match op {
         None => Pcu::Next,
         Some(PcuOp::Jump(t)) => Pcu::Jump(t.0),
@@ -621,18 +625,18 @@ fn decode_pcu(op: Option<PcuOp>) -> Result<Pcu, String> {
 
 /// Append the micro-ops of `inst` to `code` in slot order; return its
 /// control operation and whether a micro-op writes a stack pointer.
-fn decode_inst(inst: &VliwInst, code: &mut Vec<MicroOp>) -> Result<(Pcu, bool), String> {
+fn decode_inst(inst: &VliwInst, code: &mut Vec<MicroOp>) -> Result<(Pcu, bool), BadReg> {
     let first = code.len();
-    for op in [inst.du0, inst.du1].into_iter().flatten() {
+    for op in [&inst.du0, &inst.du1].into_iter().flatten() {
         code.push(decode_int(op)?);
     }
-    for op in [inst.fpu0, inst.fpu1].into_iter().flatten() {
+    for op in [&inst.fpu0, &inst.fpu1].into_iter().flatten() {
         code.push(decode_fp(op)?);
     }
-    for op in [inst.au0, inst.au1].into_iter().flatten() {
+    for op in [&inst.au0, &inst.au1].into_iter().flatten() {
         code.push(decode_addr_op(op)?);
     }
-    for op in [inst.mu0, inst.mu1].into_iter().flatten() {
+    for op in [&inst.mu0, &inst.mu1].into_iter().flatten() {
         code.push(decode_mem(op)?);
     }
     let writes_sp = code[first..].iter().any(|op| match *op {
@@ -672,8 +676,8 @@ impl Decoded {
         };
         for (pc, inst) in program.insts.iter().enumerate() {
             let start = d.code.len() as u32;
-            let (pcu, writes_sp) =
-                decode_inst(inst, &mut d.code).map_err(|e| format!("inst {pc}: {e}"))?;
+            let (pcu, writes_sp) = decode_inst(inst, &mut d.code)
+                .map_err(|BadReg(r)| format!("inst {pc}: register index {r} out of range"))?;
             d.spans.push(Span {
                 start,
                 end: d.code.len() as u32,
@@ -684,8 +688,8 @@ impl Decoded {
         }
         let images = [(Bank::X, &program.x_image), (Bank::Y, &program.y_image)];
         for (mem, (bank, image)) in d.mem.iter_mut().zip(images) {
-            mem.clone_from(&image.init);
-            mem.resize(program.bank_words(bank)? as usize, Word::ZERO);
+            *mem = vec![Word::ZERO; program.bank_words(bank)? as usize];
+            mem[..image.init.len()].copy_from_slice(&image.init);
         }
         Ok(d)
     }
