@@ -404,6 +404,30 @@ fn count(fresh: bool, hits: &AtomicU64, misses: &AtomicU64) {
     }
 }
 
+/// How a once-per-source lookup was answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup {
+    /// The value was already there.
+    Hit,
+    /// This call computed it.
+    Miss,
+    /// Another job was computing it; this call blocked until it was
+    /// there.
+    Wait,
+}
+
+impl Lookup {
+    /// `hit`, `miss` or `wait`.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Lookup::Hit => "hit",
+            Lookup::Miss => "miss",
+            Lookup::Wait => "wait",
+        }
+    }
+}
+
 /// The process-wide artifact cache shared by all workers of an engine.
 pub struct ArtifactCache {
     prepared: Layer<u64, Result<Arc<PreparedSource>, CompileError>>,
@@ -541,7 +565,7 @@ impl ArtifactCache {
     }
 
     /// The reference interpreter's final global values for `prep.ir`,
-    /// computed at most once per source.
+    /// computed at most once per source, with how this call got them.
     ///
     /// # Errors
     ///
@@ -549,7 +573,8 @@ impl ArtifactCache {
     pub fn reference<'a>(
         &self,
         prep: &'a PreparedSource,
-    ) -> Result<(&'a ReferenceGlobals, Duration, bool), InterpError> {
+    ) -> Result<(&'a ReferenceGlobals, Duration, Lookup), InterpError> {
+        let filled = prep.reference.get().is_some();
         let mut fresh = false;
         let (result, time) = prep.reference.get_or_init(|| {
             fresh = true;
@@ -557,8 +582,13 @@ impl ArtifactCache {
             (runner::reference_globals(&prep.ir), start.elapsed())
         });
         count(fresh, &self.reference_hits, &self.reference_misses);
+        let lookup = match (fresh, filled) {
+            (true, _) => Lookup::Miss,
+            (false, true) => Lookup::Hit,
+            (false, false) => Lookup::Wait,
+        };
         match result {
-            Ok(globals) => Ok((globals, *time, !fresh)),
+            Ok(globals) => Ok((globals, *time, lookup)),
             Err(e) => Err(e.clone()),
         }
     }
@@ -721,6 +751,17 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let stats = cache.stats();
         assert_eq!((stats.prepared_misses, stats.prepared_hits), (1, 1));
+    }
+
+    #[test]
+    fn reference_lookups_report_miss_then_hit() {
+        let cache = ArtifactCache::new();
+        let (prep, _) = cache.prepared(SRC).unwrap();
+        let (first, _, miss) = cache.reference(&prep).unwrap();
+        let (second, _, hit) = cache.reference(&prep).unwrap();
+        assert_eq!((miss, hit), (Lookup::Miss, Lookup::Hit));
+        assert!(std::ptr::eq(first, second));
+        assert_eq!((miss.label(), hit.label()), ("miss", "hit"));
     }
 
     #[test]

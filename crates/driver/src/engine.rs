@@ -29,7 +29,7 @@ use dsp_trace::{families, SpanCtx, Tracer};
 use dsp_workloads::runner::{self, RunError};
 use dsp_workloads::Benchmark;
 
-use crate::cache::{ArtifactCache, CacheStats};
+use crate::cache::{ArtifactCache, CacheStats, Lookup};
 use crate::report::{CacheFlags, JobReport, RunReport, StageTimes};
 use crate::store::DiskStore;
 
@@ -658,31 +658,25 @@ pub fn run_job(
     let mut reference_cached = None;
     if opts.verify && !bench.check_globals.is_empty() {
         let verify_start = Instant::now();
-        let (reference, ref_time, ref_cached) = cache.reference(&prep)?;
+        let (reference, ref_time, lookup) = cache.reference(&prep)?;
+        // The `verify` stage is the comparison alone: a reference run
+        // this job computed is the `reference` stage, and time blocked
+        // on another job's run is neither.
+        let check_start = Instant::now();
         runner::verify_sim(bench, strategy, &sim, reference)?;
-        let total = verify_start.elapsed();
-        // When this job computed the reference run (a miss), that
-        // time is reported under the `reference` stage, not here.
-        verify = if ref_cached {
-            total
-        } else {
-            total.saturating_sub(ref_time)
-        };
+        verify = check_start.elapsed();
         reference_time = ref_time;
-        reference_cached = Some(ref_cached);
+        reference_cached = Some(lookup != Lookup::Miss);
         if tracer.is_enabled() {
             let vctx = tracer.record_span(
                 "verify",
                 "stage",
                 cell_ctx,
                 verify_start,
-                total,
-                vec![(
-                    "reference_cache",
-                    if ref_cached { "hit" } else { "miss" }.to_string(),
-                )],
+                verify_start.elapsed(),
+                vec![("reference_cache", lookup.label().to_string())],
             );
-            if !ref_cached {
+            if lookup == Lookup::Miss {
                 tracer.record_span(
                     "reference",
                     "stage",
