@@ -58,6 +58,12 @@ pub use program::{DataImage, DataSymbol, Label, VliwFunction, VliwProgram, MAX_B
 pub use regs::{AReg, FReg, IReg, Reg, RegClass, NUM_REGS_PER_FILE};
 pub use word::Word;
 
+/// Hardware call-stack depth: the most nested calls a program may have
+/// active, `main` included (the DSP56001 has a 15-deep stack; we are a
+/// little more generous for recursive benchmarks). The simulator traps
+/// past it, and the reference interpreter stops at the same depth.
+pub const CALL_STACK_DEPTH: usize = 4096;
+
 /// One of the two single-ported data-memory banks.
 ///
 /// The banks are high-order interleaved: an entire variable or array is

@@ -970,6 +970,35 @@ fn hostile_input_never_kills_the_server() {
 }
 
 #[test]
+fn deep_recursion_answers_a_well_formed_error_and_the_server_lives() {
+    // Its profiling run nests far past the call-stack limit; it once
+    // overflowed the worker thread's stack and aborted the process.
+    let server = TestServer::start(small_config());
+    let mut conn = server.connect();
+    let src = "int out;
+        int down(int n) { if (n == 0) return 0; return down(n - 1) + 1; }
+        void main() { out = down(20000); }";
+    let resp = conn
+        .request("POST", "/compile", Some(&compile_body(src, "pr")))
+        .expect("response");
+    assert!(
+        (400..500).contains(&resp.status),
+        "status {}: {}",
+        resp.status,
+        resp.text()
+    );
+    let doc = json::parse(&resp.text()).expect("a JSON error envelope");
+    let error = doc.get("error").and_then(Value::as_str).expect("an error");
+    assert!(error.contains("call-stack overflow"), "{error}");
+
+    let resp = conn
+        .request("POST", "/compile", Some(&compile_body(FIR_SRC, "cb")))
+        .expect("response");
+    assert_eq!(resp.status, 200);
+    server.stop();
+}
+
+#[test]
 fn admin_shutdown_drains_and_stops() {
     let server = TestServer::start(small_config());
     let mut conn = server.connect();

@@ -59,7 +59,8 @@
 
 use dsp_machine::{
     AReg, AddrOp, Bank, CmpKind, DataSymbol, FReg, FpBinKind, FpOp, FuncUnit, IReg, IntBinKind,
-    IntOp, IntOperand, MemAddr, MemOp, PcuOp, Reg, VliwInst, VliwProgram, Word, NUM_REGS_PER_FILE,
+    IntOp, IntOperand, MemAddr, MemOp, PcuOp, Reg, VliwInst, VliwProgram, Word, CALL_STACK_DEPTH,
+    NUM_REGS_PER_FILE,
 };
 
 /// Simulation options.
@@ -721,10 +722,6 @@ pub struct Simulator<'p> {
     max_stack_x: u32,
     max_stack_y: u32,
 }
-
-/// Hardware call-stack depth (the DSP56001 has a 15-deep one; we are a
-/// little more generous for recursive benchmarks).
-const CALL_STACK_DEPTH: usize = 4096;
 
 impl<'p> Simulator<'p> {
     /// Validate the program and decode its micro-op table, then create
