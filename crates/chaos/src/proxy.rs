@@ -62,7 +62,7 @@ struct Shared {
 }
 
 /// Cloneable handle for shutdown and counter inspection (the in-process
-/// embedding used by `dsp-serve-load --chaos` and the tests).
+/// embedding the tests use).
 #[derive(Clone)]
 pub struct ChaosHandle {
     shared: Arc<Shared>,

@@ -417,6 +417,16 @@ pub enum Lookup {
 }
 
 impl Lookup {
+    /// Classify one `get_or_init`: `fresh` when this call ran the
+    /// initializer, `filled` when the value was there before it.
+    fn of(fresh: bool, filled: bool) -> Lookup {
+        match (fresh, filled) {
+            (true, _) => Lookup::Miss,
+            (false, true) => Lookup::Hit,
+            (false, false) => Lookup::Wait,
+        }
+    }
+
     /// `hit`, `miss` or `wait`.
     #[must_use]
     pub fn label(self) -> &'static str {
@@ -519,16 +529,16 @@ impl ArtifactCache {
         (self.prepared.bytes(), self.artifacts.bytes())
     }
 
-    /// Parse and optimize `source`, or return the cached result.
-    ///
-    /// The boolean is `true` when this call was served from cache.
+    /// Parse and optimize `source`, or return the cached result, with
+    /// how this call got it.
     ///
     /// # Errors
     ///
     /// Returns the (cached) front-end error for unparsable sources.
-    pub fn prepared(&self, source: &str) -> Result<(Arc<PreparedSource>, bool), CompileError> {
+    pub fn prepared(&self, source: &str) -> Result<(Arc<PreparedSource>, Lookup), CompileError> {
         let hash = fnv1a(source.as_bytes());
         let cell = self.prepared.slot(hash);
+        let filled = cell.get().is_some();
         let mut fresh = false;
         let result = cell.get_or_init(|| {
             fresh = true;
@@ -538,7 +548,7 @@ impl ArtifactCache {
         if fresh {
             self.prepared.record_bytes(&hash, prepared_bytes(result));
         }
-        result.clone().map(|p| (p, !fresh))
+        result.clone().map(|p| (p, Lookup::of(fresh, filled)))
     }
 
     /// The profiling run over `prep.opt_ir`, computed at most once per
@@ -582,13 +592,8 @@ impl ArtifactCache {
             (runner::reference_globals(&prep.ir), start.elapsed())
         });
         count(fresh, &self.reference_hits, &self.reference_misses);
-        let lookup = match (fresh, filled) {
-            (true, _) => Lookup::Miss,
-            (false, true) => Lookup::Hit,
-            (false, false) => Lookup::Wait,
-        };
         match result {
-            Ok(globals) => Ok((globals, *time, lookup)),
+            Ok(globals) => Ok((globals, *time, Lookup::of(fresh, filled))),
             Err(e) => Err(e.clone()),
         }
     }
@@ -745,9 +750,9 @@ mod tests {
     #[test]
     fn prepared_is_cached_by_content() {
         let cache = ArtifactCache::new();
-        let (a, hit_a) = cache.prepared(SRC).unwrap();
-        let (b, hit_b) = cache.prepared(SRC).unwrap();
-        assert!(!hit_a && hit_b);
+        let (a, first) = cache.prepared(SRC).unwrap();
+        let (b, second) = cache.prepared(SRC).unwrap();
+        assert_eq!((first, second), (Lookup::Miss, Lookup::Hit));
         assert!(Arc::ptr_eq(&a, &b));
         let stats = cache.stats();
         assert_eq!((stats.prepared_misses, stats.prepared_hits), (1, 1));
@@ -804,10 +809,14 @@ mod tests {
         cache.prepared(SRC).unwrap(); // touch A: B is now LRU
         cache.prepared(src_c).unwrap(); // {A, C} — evicts B
         assert_eq!(cache.resident().0, 2);
-        let (_, hit) = cache.prepared(SRC).unwrap();
-        assert!(hit, "recently-used entry must survive eviction");
-        let (_, hit) = cache.prepared(src_b).unwrap(); // recompute; evicts C
-        assert!(!hit, "LRU entry must have been evicted");
+        let (_, lookup) = cache.prepared(SRC).unwrap();
+        assert_eq!(
+            lookup,
+            Lookup::Hit,
+            "recently-used entry must survive eviction"
+        );
+        let (_, lookup) = cache.prepared(src_b).unwrap(); // recompute; evicts C
+        assert_eq!(lookup, Lookup::Miss, "LRU entry must have been evicted");
         let stats = cache.stats();
         assert_eq!(stats.prepared_evictions, 2);
         assert_eq!(stats.evictions(), 2);
@@ -858,8 +867,8 @@ mod tests {
         assert_eq!(cache.resident().0, 1, "budget holds one entry at most");
         assert_eq!(stats.prepared_evictions, 1);
         assert_eq!(stats.prepared_evicted_bytes, first_bytes);
-        let (_, hit) = cache.prepared(SRC).unwrap();
-        assert!(!hit, "evicted source must recompute");
+        let (_, lookup) = cache.prepared(SRC).unwrap();
+        assert_eq!(lookup, Lookup::Miss, "evicted source must recompute");
     }
 
     #[test]

@@ -539,9 +539,9 @@ pub fn run_job(
 
     let (prep, prepared_cached) = {
         let mut span = tracer.span("prepared", "stage", cell_ctx);
-        let (prep, cached) = cache.prepared(&bench.source)?;
-        span.attr("cache", if cached { "hit" } else { "miss" });
-        if !cached {
+        let (prep, lookup) = cache.prepared(&bench.source)?;
+        span.attr("cache", lookup.label());
+        if lookup == Lookup::Miss {
             if let Some(anchor) = span.start_instant() {
                 let ctx = span.ctx();
                 tracer.record_span("parse", "stage", ctx, anchor, prep.parse_time, Vec::new());
@@ -557,7 +557,7 @@ pub fn run_job(
             tracer.observe(families::STAGE, "parse", prep.parse_time);
             tracer.observe(families::STAGE, "opt", prep.opt_time);
         }
-        (prep, cached)
+        (prep, lookup != Lookup::Miss)
     };
 
     let needs_profile = matches!(strategy, Strategy::ProfileWeighted | Strategy::SelectiveDup);

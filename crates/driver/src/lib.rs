@@ -65,7 +65,7 @@ pub use engine::{
 };
 pub use report::{
     project_deterministic_json, sweep_json_prefix, sweep_json_tail, verify_job_digest,
-    with_job_digest, CacheFlags, JobReport, RunReport, StageTimes,
+    verify_report_digests, with_job_digest, CacheFlags, JobReport, RunReport, StageTimes,
 };
 pub use store::{
     DiskStats, DiskStore, DiskSweep, FaultIo, FaultKind, FaultOp, FaultPlan, StdIo, StoreIo,

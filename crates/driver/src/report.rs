@@ -429,9 +429,9 @@ fn ms(d: Duration) -> f64 {
 /// Append the end-to-end `"digest"` checksum field to a serialized
 /// job object: FNV-1a over the object's own bytes (surrounding
 /// whitespace trimmed, the digest field itself excluded), rendered as
-/// 16-digit hex. Appended after every serving-layer field so the
-/// deterministic projection — which cuts each job line at `"cached"`
-/// — is unaffected.
+/// 16-digit hex. Appended after every serving-layer field; the
+/// deterministic projection selects result fields only, so it is
+/// unaffected.
 ///
 /// # Panics
 ///
@@ -476,6 +476,22 @@ pub fn verify_job_digest(job: &str) -> Result<(), String> {
             "digest mismatch: job claims {claimed:016x}, payload hashes to {actual:016x}"
         ))
     }
+}
+
+/// Verify the `"digest"` of every job in a serialized
+/// `dualbank-run-report/v1` document (one job object per line, as the
+/// server and the router write them); returns how many were checked.
+///
+/// # Errors
+///
+/// Names the first job whose digest is missing, malformed or wrong.
+pub fn verify_report_digests(doc: &str) -> Result<usize, String> {
+    let lines = doc.lines().map(|l| l.trim().trim_end_matches(','));
+    let jobs: Vec<&str> = lines.filter(|l| l.starts_with("{\"")).collect();
+    for (i, job) in jobs.iter().enumerate() {
+        verify_job_digest(job).map_err(|e| format!("job {i}: {e}"))?;
+    }
+    Ok(jobs.len())
 }
 
 fn cache_json(c: &CacheStats) -> String {
@@ -682,9 +698,8 @@ mod tests {
             doc.get("request_id").and_then(|v| v.as_str()),
             Some("req-42")
         );
-        // The tag lands after the schedule-dependent block: consumers
-        // that cut the line at `"cached"` (the deterministic identity
-        // check in dsp-serve-load) see an unchanged prefix.
+        // The tag lands after the schedule-dependent block, so a job
+        // line cut at `"cached"` keeps an unchanged prefix.
         assert_eq!(
             tagged.split(", \"cached\": ").next(),
             job.to_json().split(", \"cached\": ").next(),
@@ -809,6 +824,12 @@ mod tests {
         bytes[at] ^= 0x20;
         let corrupt = String::from_utf8(bytes).expect("still UTF-8");
         assert!(verify_job_digest(&corrupt).is_err());
+        // The same check over a whole document, job by job.
+        assert_eq!(verify_report_digests(&doc), Ok(1));
+        let damaged = doc.replace(&wire, &corrupt);
+        assert!(verify_report_digests(&damaged)
+            .unwrap_err()
+            .starts_with("job 0: digest mismatch"));
     }
 
     #[test]

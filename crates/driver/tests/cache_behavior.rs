@@ -1,8 +1,10 @@
 //! Cache-layer behavior: hit/miss accounting, invalidation on source
 //! and config changes, and isolation between strategies.
 
+use std::sync::Barrier;
+
 use dsp_backend::{CompileConfig, Strategy};
-use dsp_driver::{ArtifactCache, Engine, EngineOptions};
+use dsp_driver::{ArtifactCache, Engine, EngineOptions, Lookup};
 
 const SRC_A: &str = "float A[8] = {1,2,3,4,5,6,7,8};
                      float B[8] = {8,7,6,5,4,3,2,1};
@@ -51,6 +53,44 @@ fn sweep_compiles_each_pair_exactly_once() {
     assert_eq!(stats.artifact_misses, 7);
     assert_eq!(stats.artifact_hits, 14);
     assert!(stats.hit_rate() > 0.8);
+}
+
+/// Race `THREADS` callers of one once-per-source lookup from behind a
+/// barrier: exactly one computes (`Miss`), so every other caller is a
+/// `Hit` or a `Wait`, and a later call is a plain `Hit`.
+fn assert_one_miss_under_contention(what: &str, lookup: impl Fn() -> Lookup + Sync) {
+    const THREADS: usize = 8;
+    let barrier = Barrier::new(THREADS);
+    let lookups: Vec<Lookup> = std::thread::scope(|s| {
+        let racers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    lookup()
+                })
+            })
+            .collect();
+        racers
+            .into_iter()
+            .map(|r| r.join().expect("lookup thread"))
+            .collect()
+    });
+    let misses = lookups.iter().filter(|l| **l == Lookup::Miss).count();
+    assert_eq!(
+        misses, 1,
+        "{what}: exactly one caller computes: {lookups:?}"
+    );
+    assert_eq!(lookup(), Lookup::Hit, "{what}: a later lookup is a hit");
+}
+
+#[test]
+fn concurrent_lookups_compute_once_and_tag_the_rest_hit_or_wait() {
+    let cache = ArtifactCache::new();
+    assert_one_miss_under_contention("prepared", || cache.prepared(SRC_A).expect("prepare").1);
+    let (prep, _) = cache.prepared(SRC_A).unwrap();
+    assert_one_miss_under_contention("reference", || cache.reference(&prep).expect("reference").2);
+    let stats = cache.stats();
+    assert_eq!((stats.prepared_misses, stats.reference_misses), (1, 1));
 }
 
 #[test]

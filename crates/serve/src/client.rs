@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP/1.1 client over one keep-alive connection —
-//! enough for the load generator and the loopback tests to talk to the
-//! server without any external dependency.
+//! enough for the router, `dsp-perf` and the tests to talk to a server
+//! without any external dependency.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -22,9 +22,8 @@ pub struct PhaseTimeouts {
     pub inter_byte: Duration,
 }
 
-/// Coarse classes for transport failures, used by the load generator
-/// to split its error summary per fault kind and assert which classes
-/// a chaos scenario may legally produce.
+/// Coarse classes of the transport failures [`ClientConn`] reports; the
+/// chaos tests hold each fault scenario to the classes it may produce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultClass {
     /// Peer reset, aborted, or closed before a response head.

@@ -2,15 +2,19 @@
 //! over real sockets.
 //!
 //! Covers the acceptance criteria: a served `/compile` is bit-identical
-//! to a direct engine run, a full queue answers 503, a runaway request
+//! to a direct engine run (the FIR kernel and every fuzz-corpus
+//! program), compile traffic beside full-suite sweeps loses nothing and
+//! changes no result, a full queue answers 503, a runaway request
 //! answers 504, `/metrics` has the documented shape, and malformed or
 //! oversized input never kills the server.
 
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
+use dsp_backend::Strategy;
 use dsp_driver::json::{self, Value};
-use dsp_driver::{Engine, EngineOptions};
+use dsp_driver::{project_deterministic_json, verify_report_digests, Engine, EngineOptions};
 use dsp_serve::client::ClientConn;
 use dsp_serve::{Server, ServerConfig, ServerHandle};
 use dsp_workloads::{Benchmark, Kind};
@@ -83,71 +87,100 @@ fn compile_body(source: &str, strategy: &str) -> String {
     )
 }
 
+/// A `/compile` request as the server runs it: no checked globals.
+fn request_bench(source: &str) -> Benchmark {
+    Benchmark {
+        name: "request".to_string(),
+        kind: Kind::Application,
+        description: String::new(),
+        source: source.to_string(),
+        check_globals: Vec::new(),
+    }
+}
+
 #[test]
 fn served_compile_is_bit_identical_to_direct_engine_run() {
     let server = TestServer::start(small_config());
     let mut conn = server.connect();
-
-    let resp = conn
-        .request("POST", "/compile", Some(&compile_body(FIR_SRC, "cb")))
-        .expect("request");
-    assert_eq!(resp.status, 200, "body: {}", resp.text());
-    let doc = json::parse(&resp.text()).expect("valid JSON response");
-    assert_eq!(
-        doc.get("schema").and_then(Value::as_str),
-        Some("dualbank-compile-response/v1")
-    );
-    let job = doc.get("job").expect("job object");
-
-    // The same job, straight through the engine (fuel matches the
+    // The same jobs straight through the engine (fuel matches the
     // server's default so the configurations are identical).
     let engine = Engine::new(EngineOptions {
         jobs: 1,
         fuel: ServerConfig::default().fuel,
         ..EngineOptions::default()
     });
-    let bench = Benchmark {
-        name: "request".to_string(),
-        kind: Kind::Application,
-        description: String::new(),
-        source: FIR_SRC.to_string(),
-        check_globals: Vec::new(),
-    };
-    let report = engine
-        .run_matrix(
-            std::slice::from_ref(&bench),
-            &[dsp_backend::Strategy::CbPartition],
-        )
-        .expect("direct run");
-    let direct = &report.jobs[0];
 
-    let num = |v: &Value, k: &str| {
-        v.get(k)
-            .and_then(Value::as_u64)
-            .unwrap_or_else(|| panic!("missing numeric field {k} in {}", resp.text()))
-    };
-    let m = &direct.measurement;
-    assert_eq!(num(job, "cycles"), m.cycles);
-    assert_eq!(num(job, "memory_cost"), m.memory_cost);
-    assert_eq!(num(job, "stack_words"), u64::from(m.stack_words));
-    assert_eq!(num(job, "inst_words"), u64::from(m.inst_words));
-    assert_eq!(num(job, "partition_cost"), direct.partition_cost);
-    assert_eq!(num(job, "duplicated_words"), direct.duplicated_words);
-    let static_words = job.get("static_words").expect("static_words");
-    assert_eq!(num(static_words, "x"), u64::from(m.static_words.0));
-    assert_eq!(num(static_words, "y"), u64::from(m.static_words.1));
-    let sim = job.get("sim").expect("sim object");
-    assert_eq!(num(sim, "ops"), m.stats.ops);
-    assert_eq!(num(sim, "loads"), m.stats.loads);
-    assert_eq!(num(sim, "stores"), m.stats.stores);
-    assert_eq!(num(sim, "dual_mem_cycles"), m.stats.dual_mem_cycles);
-    assert_eq!(
-        num(sim, "bank_conflict_cycles"),
-        m.stats.bank_conflict_cycles
-    );
+    // The FIR kernel, then every fuzz-corpus program: the oracle's
+    // hard cases must come back over HTTP exactly as they run direct.
+    let corpus_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+    let corpus = dsp_workloads::corpus::load_dir(&corpus_dir).expect("load tests/corpus");
+    assert!(!corpus.is_empty(), "tests/corpus holds no programs");
+    let programs = std::iter::once(("fir", FIR_SRC))
+        .chain(corpus.iter().map(|b| (b.name.as_str(), b.source.as_str())));
+    for (name, source) in programs {
+        let resp = conn
+            .request("POST", "/compile", Some(&compile_body(source, "cb")))
+            .expect("request");
+        assert_eq!(resp.status, 200, "{name}: body: {}", resp.text());
+        let doc = json::parse(&resp.text()).expect("valid JSON response");
+        assert_eq!(
+            doc.get("schema").and_then(Value::as_str),
+            Some("dualbank-compile-response/v1")
+        );
+        let job = doc.get("job").expect("job object");
+
+        let report = engine
+            .run_matrix(&[request_bench(source)], &[Strategy::CbPartition])
+            .expect("direct run");
+        let direct = &report.jobs[0];
+        let num = |v: &Value, k: &str| {
+            v.get(k)
+                .and_then(Value::as_u64)
+                .unwrap_or_else(|| panic!("{name}: missing numeric field {k} in {}", resp.text()))
+        };
+        let m = &direct.measurement;
+        let static_words = job.get("static_words").expect("static_words");
+        let sim = job.get("sim").expect("sim object");
+        assert_eq!(num(job, "cycles"), m.cycles, "{name}");
+        assert_eq!(num(job, "memory_cost"), m.memory_cost, "{name}");
+        assert_eq!(num(job, "stack_words"), u64::from(m.stack_words), "{name}");
+        assert_eq!(num(job, "inst_words"), u64::from(m.inst_words), "{name}");
+        assert_eq!(num(job, "partition_cost"), direct.partition_cost, "{name}");
+        assert_eq!(
+            num(job, "duplicated_words"),
+            direct.duplicated_words,
+            "{name}"
+        );
+        assert_eq!(
+            num(static_words, "x"),
+            u64::from(m.static_words.0),
+            "{name}"
+        );
+        assert_eq!(
+            num(static_words, "y"),
+            u64::from(m.static_words.1),
+            "{name}"
+        );
+        assert_eq!(num(sim, "ops"), m.stats.ops, "{name}");
+        assert_eq!(num(sim, "loads"), m.stats.loads, "{name}");
+        assert_eq!(num(sim, "stores"), m.stats.stores, "{name}");
+        assert_eq!(
+            num(sim, "dual_mem_cycles"),
+            m.stats.dual_mem_cycles,
+            "{name}"
+        );
+        let conflicts = num(sim, "bank_conflict_cycles");
+        assert_eq!(conflicts, m.stats.bank_conflict_cycles, "{name}");
+    }
 
     // A repeat of the same request is served from cache and still
     // bit-identical.
+    let fir_cycles = engine
+        .run_matrix(&[request_bench(FIR_SRC)], &[Strategy::CbPartition])
+        .expect("direct run")
+        .jobs[0]
+        .measurement
+        .cycles;
     let resp2 = conn
         .request("POST", "/compile", Some(&compile_body(FIR_SRC, "cb")))
         .expect("request");
@@ -157,7 +190,7 @@ fn served_compile_is_bit_identical_to_direct_engine_run() {
         doc2.get("job")
             .and_then(|j| j.get("cycles"))
             .and_then(Value::as_u64),
-        Some(m.cycles)
+        Some(fir_cycles)
     );
     assert_eq!(
         doc2.get("job")
@@ -210,20 +243,6 @@ fn sweep_returns_a_run_report() {
     server.stop();
 }
 
-/// The deterministic view of a run-report document: the `jobs[]` array
-/// with each job cut at its schedule-dependent suffix (`cached` flags
-/// and stage wall times). Two runs of the same matrix must agree on
-/// this view exactly, whatever the transport or worker count.
-fn deterministic_jobs(body: &str) -> String {
-    let start = body.find("\"jobs\": [\n").expect("jobs[] present");
-    let end = body.rfind("\n  ],").expect("jobs[] terminator present");
-    body[start..end]
-        .lines()
-        .map(|l| l.split(", \"cached\": ").next().unwrap_or(l))
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[test]
 fn sweep_streams_chunked_and_matches_the_buffered_document() {
     let server = TestServer::start(ServerConfig {
@@ -270,10 +289,99 @@ fn sweep_streams_chunked_and_matches_the_buffered_document() {
     assert_eq!(resp10.header("transfer-encoding"), None);
     assert_eq!(resp10.chunks, 0, "HTTP/1.0 response must be buffered");
     assert_eq!(
-        deterministic_jobs(&resp.text()),
-        deterministic_jobs(&resp10.text()),
+        project_deterministic_json(&resp.text()).expect("project chunked sweep"),
+        project_deterministic_json(&resp10.text()).expect("project buffered sweep"),
         "chunked and buffered sweeps must agree on every deterministic field"
     );
+    server.stop();
+}
+
+#[test]
+fn compile_traffic_beside_full_suite_sweeps_is_lossless_and_deterministic() {
+    // Two keep-alive connections post 25 compiles each while a third
+    // runs two sequential bench-all sweeps through the same executor.
+    // No compile may fail or drop; every sweep must stream whole with
+    // verified digests; and both sweeps must reduce to the projection
+    // of the same 23×7 matrix run in process.
+    const COMPILE_CONNS: usize = 2;
+    const COMPILES: usize = 25;
+    const SWEEPS: usize = 2;
+    let server = TestServer::start(ServerConfig {
+        // One connection worker per client connection, so the sweeps
+        // really run beside the compiles instead of queueing behind
+        // them.
+        workers: COMPILE_CONNS + 1,
+        deadline: Duration::from_secs(600),
+        read_timeout: Duration::from_secs(30),
+        ..ServerConfig::default()
+    });
+    let addr = server.addr;
+    let sweeper = std::thread::spawn(move || {
+        let mut conn = ClientConn::connect(addr, Duration::from_secs(600)).expect("connect");
+        (0..SWEEPS)
+            .map(|i| {
+                conn.request("POST", "/sweep", Some("{\"bench\": \"all\"}"))
+                    .unwrap_or_else(|e| panic!("sweep {i} dropped: {e}"))
+            })
+            .collect::<Vec<_>>()
+    });
+    let compilers: Vec<_> = (0..COMPILE_CONNS)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let mut conn =
+                    ClientConn::connect(addr, Duration::from_secs(120)).expect("connect");
+                for i in 0..COMPILES {
+                    let resp = conn
+                        .request("POST", "/compile", Some(&compile_body(FIR_SRC, "cb")))
+                        .unwrap_or_else(|e| panic!("connection {c}: compile {i} dropped: {e}"));
+                    assert_eq!(
+                        resp.status,
+                        200,
+                        "connection {c}: compile {i}: {}",
+                        resp.text()
+                    );
+                }
+            })
+        })
+        .collect();
+    for compiler in compilers {
+        compiler.join().expect("compile connection");
+    }
+    let sweeps = sweeper.join().expect("sweep connection");
+
+    let engine = Engine::new(EngineOptions {
+        fuel: ServerConfig::default().fuel,
+        ..EngineOptions::default()
+    });
+    let expected = engine
+        .run_matrix(&dsp_workloads::all(), &Strategy::ALL)
+        .expect("in-process matrix")
+        .deterministic_json();
+    for (i, resp) in sweeps.iter().enumerate() {
+        let body = resp.text();
+        assert_eq!(resp.status, 200, "sweep {i}: {body}");
+        assert!(
+            resp.chunks > 1,
+            "sweep {i} must stream, got {} chunk(s)",
+            resp.chunks
+        );
+        let doc = json::parse(&body).expect("sweep is valid JSON");
+        assert_eq!(
+            doc.get("truncated").and_then(Value::as_bool),
+            Some(false),
+            "sweep {i} was truncated"
+        );
+        assert_eq!(
+            verify_report_digests(&body),
+            Ok(23 * 7),
+            "sweep {i}: every job must carry a valid digest"
+        );
+        assert_eq!(
+            project_deterministic_json(&body).expect("project sweep"),
+            expected,
+            "sweep {i} differs from the in-process matrix under projection"
+        );
+    }
     server.stop();
 }
 

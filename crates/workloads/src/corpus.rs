@@ -7,8 +7,9 @@
 //! programs exist to catch miscompiles, so the whole final memory
 //! state is the contract, not a hand-picked output variable.
 //!
-//! Both the regression suite (`tests/fuzz_corpus.rs`) and the load
-//! generator (`dsp-serve-load --corpus`) consume this layout.
+//! The regression suite (`tests/fuzz_corpus.rs`) replays this layout
+//! through the oracle, and the serve loopback test
+//! (`crates/serve/tests/loopback.rs`) posts it as `/compile` traffic.
 //! [`benchmark_from_source`] is also the differential oracle's
 //! benchmark builder: `dsp-gen` wraps every program it judges, corpus
 //! entry or freshly generated, with it, so a fuzz verdict and a corpus
@@ -105,7 +106,7 @@ pub fn load_file(path: &Path) -> Result<Benchmark, CorpusError> {
 
 /// Load every `*.dsp` file in `dir`, sorted by file name so corpus
 /// order (and everything derived from it: engine matrices, fuzz
-/// replay, load-generator splits) is deterministic.
+/// replay, served traffic) is deterministic.
 ///
 /// # Errors
 ///

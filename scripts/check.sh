@@ -11,10 +11,28 @@ cd "$(dirname "$0")/.."
 
 CARGO_FLAGS=${CARGO_FLAGS:-}
 
+# Scratch space for every step below, one subdirectory per step, and
+# the PIDs of every process a step leaves running. The one EXIT trap
+# stops them all and removes the scratch space, whichever step fails.
+WORK=$(mktemp -d)
+mkdir "$WORK"/{cache,trace,router,chaos,obs,fuzz,part}
+PIDS=""
+stop_all() { # signal (default TERM) and reap every recorded PID
+  [ -n "$PIDS" ] || return 0
+  kill "${1:--TERM}" $PIDS 2>/dev/null || true
+  wait $PIDS 2>/dev/null || true
+  PIDS=""
+}
+trap 'stop_all; rm -rf "$WORK"' EXIT
+
 echo "== cargo build --release =="
 cargo build --release --workspace $CARGO_FLAGS
 
 echo "== cargo test -q =="
+# Includes the serving tier's in-process checks: compile traffic beside
+# two bench-all sweeps (crates/serve/tests/loopback.rs), load through a
+# router with a drained replica (crates/router/tests/loopback.rs), and
+# the client-side fault classes of every chaos scenario (tests/chaos.rs).
 cargo test -q --workspace $CARGO_FLAGS
 
 echo "== cargo fmt --check =="
@@ -34,32 +52,16 @@ echo "== dsp-perf release-mode correctness gate =="
 # interpreter.
 ./target/release/dsp-perf run --quick --workload gen-cold --seed 2 >/dev/null
 
-echo "== dsp-serve loopback smoke test =="
-# Self-contained: spawns a server on a free port, drives /compile over
-# 2 keep-alive connections, and exits nonzero on any dropped request.
-./target/release/dsp-serve-load --spawn --connections 2 --requests 25
-
-echo "== dsp-serve mixed-load smoke test =="
-# One bench-all /sweep streaming concurrently with /compile traffic
-# through the shared executor. Exits nonzero on any dropped request,
-# any truncated sweep, or sweep jobs whose deterministic fields
-# (cycles, memory cost, bank stats) differ between runs.
-./target/release/dsp-serve-load --spawn --mixed --connections 2 --requests 25 \
-  --sweep-requests 2 --bench all
-
 echo "== persistent-cache crash smoke test =="
 # Kill a sweep mid-run, restart over the crashed store, and require the
 # warmed report to be byte-identical to a cold store-less run. The
 # atomic tmp-file+rename publish means a SIGKILL at any instant must
 # leave zero quarantined entries.
-CACHE_DIR=$(mktemp -d)
-trap 'rm -rf "$CACHE_DIR"' EXIT
+CACHE_DIR=$WORK/cache
 ./target/release/dualbank bench all --jobs 1 --cache-dir "$CACHE_DIR" \
-  >/dev/null 2>&1 &
-KILL_PID=$!
+  >/dev/null 2>&1 & PIDS="$PIDS $!"
 sleep 0.3
-kill -9 "$KILL_PID" 2>/dev/null || true
-wait "$KILL_PID" 2>/dev/null || true
+stop_all -KILL
 # DSP_LOG=info: the warm-start banner (grepped below) logs at info.
 DSP_LOG=info ./target/release/dualbank bench all --jobs 1 --cache-dir "$CACHE_DIR" \
   --json "$CACHE_DIR/warm.json" --deterministic >/dev/null 2>"$CACHE_DIR/stderr"
@@ -74,12 +76,13 @@ echo "== trace smoke test =="
 # --trace-out must yield a Perfetto-loadable Chrome trace document
 # with nonzero nested spans, and tracing must not perturb results:
 # the deterministic report is byte-identical with tracing on or off.
-./target/release/dualbank bench fir_32_1 --jobs 2 --trace-out "$CACHE_DIR/trace.json" \
-  --json "$CACHE_DIR/traced.json" --deterministic >/dev/null
-./target/release/dualbank trace-validate "$CACHE_DIR/trace.json"
+TDIR=$WORK/trace
+./target/release/dualbank bench fir_32_1 --jobs 2 --trace-out "$TDIR/trace.json" \
+  --json "$TDIR/traced.json" --deterministic >/dev/null
+./target/release/dualbank trace-validate "$TDIR/trace.json"
 ./target/release/dualbank bench fir_32_1 --jobs 2 \
-  --json "$CACHE_DIR/untraced.json" --deterministic >/dev/null
-cmp "$CACHE_DIR/traced.json" "$CACHE_DIR/untraced.json" \
+  --json "$TDIR/untraced.json" --deterministic >/dev/null
+cmp "$TDIR/traced.json" "$TDIR/untraced.json" \
   || { echo "FAIL: tracing perturbed the deterministic report"; exit 1; }
 
 echo "== dsp-router multi-node smoke test =="
@@ -87,15 +90,13 @@ echo "== dsp-router multi-node smoke test =="
 # byte-identical deterministic report of a plain CLI run, draining one
 # replica must be absorbed by the ring, and load pushed through the
 # router afterwards must finish with zero failed requests.
-RDIR=$(mktemp -d)
-RA_PID=""; RB_PID=""; RT_PID=""
-trap 'kill $RA_PID $RB_PID $RT_PID 2>/dev/null || true; rm -rf "$CACHE_DIR" "$RDIR"' EXIT
+RDIR=$WORK/router
 # --workers 6 gives each replica connection headroom for the router's
 # pooled keep-alives plus its readiness probes (see docs/serving.md).
 ./target/release/dualbank serve --addr 127.0.0.1:0 --jobs 1 --workers 6 \
-  --replica-id ra >"$RDIR/ra.log" 2>&1 & RA_PID=$!
+  --replica-id ra >"$RDIR/ra.log" 2>&1 & PIDS="$PIDS $!"
 ./target/release/dualbank serve --addr 127.0.0.1:0 --jobs 1 --workers 6 \
-  --replica-id rb >"$RDIR/rb.log" 2>&1 & RB_PID=$!
+  --replica-id rb >"$RDIR/rb.log" 2>&1 & PIDS="$PIDS $!"
 node_addr() { # extract host:port from a node's startup banner
   for _ in $(seq 100); do
     local a
@@ -108,7 +109,7 @@ node_addr() { # extract host:port from a node's startup banner
 RA_ADDR=$(node_addr "$RDIR/ra.log")
 RB_ADDR=$(node_addr "$RDIR/rb.log")
 ./target/release/dsp-router --addr 127.0.0.1:0 --replicas "$RA_ADDR,$RB_ADDR" \
-  >"$RDIR/router.log" 2>&1 & RT_PID=$!
+  >"$RDIR/router.log" 2>&1 & PIDS="$PIDS $!"
 RT_ADDR=$(node_addr "$RDIR/router.log")
 for _ in $(seq 100); do
   curl -fsS "http://$RT_ADDR/readyz" >/dev/null 2>&1 && break
@@ -132,12 +133,15 @@ for _ in $(seq 100); do
 done
 grep -q "dsp_router_upstream_up{replica=\"$RB_ADDR\"} 0" "$RDIR/rt-metrics.txt" \
   || { echo "FAIL: router never ejected the drained replica"; exit 1; }
-# Load through the router against the surviving replica: the load tool
-# exits nonzero on any failed request.
-./target/release/dsp-serve-load --addr "$RT_ADDR" --connections 2 --requests 25
-kill $RA_PID $RT_PID 2>/dev/null || true
-wait "$RA_PID" "$RT_PID" 2>/dev/null || true
-RA_PID=""; RB_PID=""; RT_PID=""
+# Load through the router against the surviving replica: 50 compiles,
+# and `curl -f` fails the gate on any one that is not answered 2xx.
+COMPILE_BODY='{"source": "float A[64]; float B[64]; float out; void main() { int i; float acc; acc = 0.0; for (i = 0; i < 64; i++) acc += A[i] * B[i]; out = acc; }", "strategy": "cb"}'
+for _ in $(seq 50); do
+  curl -fsS -X POST "http://$RT_ADDR/compile" -H 'Content-Type: application/json' \
+    -d "$COMPILE_BODY" >/dev/null \
+    || { echo "FAIL: a compile through the router failed after the drain"; exit 1; }
+done
+stop_all
 
 echo "== chaos fault-injection smoke test =="
 # Two replicas, replica B reachable only through a fixed-seed dsp-chaos
@@ -147,14 +151,11 @@ echo "== chaos fault-injection smoke test =="
 # clean replica — same byte-identical bar. Every request runs under a
 # hard `timeout` so a wedged worker fails the gate instead of hanging
 # it, and the proxy's own /metrics must show the faults were real.
-CHAOS_DIR=$(mktemp -d)
-CA_PID=""; CB_PID=""; CX1_PID=""; CX2_PID=""; CR1_PID=""; CR2_PID=""
-chaos_pids() { echo "$CA_PID $CB_PID $CX1_PID $CX2_PID $CR1_PID $CR2_PID ${CHAOS_PID:-} ${ROUTER_PID:-}"; }
-trap 'kill $(chaos_pids) 2>/dev/null || true; rm -rf "$CACHE_DIR" "$RDIR" "$CHAOS_DIR"' EXIT
+CHAOS_DIR=$WORK/chaos
 ./target/release/dualbank serve --addr 127.0.0.1:0 --jobs 1 --workers 6 \
-  --replica-id ca >"$CHAOS_DIR/ca.log" 2>&1 & CA_PID=$!
+  --replica-id ca >"$CHAOS_DIR/ca.log" 2>&1 & PIDS="$PIDS $!"
 ./target/release/dualbank serve --addr 127.0.0.1:0 --jobs 1 --workers 6 \
-  --replica-id cb >"$CHAOS_DIR/cb.log" 2>&1 & CB_PID=$!
+  --replica-id cb >"$CHAOS_DIR/cb.log" 2>&1 & PIDS="$PIDS $!"
 CA_ADDR=$(node_addr "$CHAOS_DIR/ca.log")
 CB_ADDR=$(node_addr "$CHAOS_DIR/cb.log")
 chaos_admin_addr() { # the proxy's second banner line
@@ -170,14 +171,14 @@ run_chaos_scenario() { # $1 scenario  $2 chaos log  $3 router log  $4 out.json
   local scen=$1 clog=$2 rlog=$3 out=$4
   ./target/release/dsp-chaos --listen 127.0.0.1:0 --admin 127.0.0.1:0 \
     --upstream "$CB_ADDR" --scenario "$scen" --seed 7 --fault-pct 100 \
-    >"$clog" 2>&1 & CHAOS_PID=$!
+    >"$clog" 2>&1 & PIDS="$PIDS $!"
   local cx_addr cx_admin rt_addr
   cx_addr=$(node_addr "$clog")
   cx_admin=$(chaos_admin_addr "$clog")
   ./target/release/dsp-router --addr 127.0.0.1:0 \
     --replicas "$CA_ADDR,$cx_addr" --retries 3 --probe-ms 200 \
     --breaker-threshold 2 --breaker-cooldown-ms 300 \
-    >"$rlog" 2>&1 & ROUTER_PID=$!
+    >"$rlog" 2>&1 & PIDS="$PIDS $!"
   rt_addr=$(node_addr "$rlog")
   for _ in $(seq 100); do
     curl -fsS "http://$rt_addr/readyz" >/dev/null 2>&1 && break
@@ -196,7 +197,6 @@ run_chaos_scenario() { # $1 scenario  $2 chaos log  $3 router log  $4 out.json
 # Trickle: slow-but-progressing bytes through the proxy, complete doc.
 run_chaos_scenario trickle "$CHAOS_DIR/cx1.log" "$CHAOS_DIR/cr1.log" \
   "$CHAOS_DIR/trickled.json"
-CX1_PID=$CHAOS_PID; CR1_PID=$ROUTER_PID
 ./target/release/dualbank report-project "$CHAOS_DIR/trickled.json" \
   >"$CHAOS_DIR/trickled.det.json"
 cmp "$CHAOS_DIR/trickled.det.json" "$RDIR/single.json" \
@@ -204,19 +204,11 @@ cmp "$CHAOS_DIR/trickled.det.json" "$RDIR/single.json" \
 # Reset: every connection to B is RST; cells must retry onto A.
 run_chaos_scenario reset "$CHAOS_DIR/cx2.log" "$CHAOS_DIR/cr2.log" \
   "$CHAOS_DIR/reset.json"
-CX2_PID=$CHAOS_PID; CR2_PID=$ROUTER_PID
 ./target/release/dualbank report-project "$CHAOS_DIR/reset.json" \
   >"$CHAOS_DIR/reset.det.json"
 cmp "$CHAOS_DIR/reset.det.json" "$RDIR/single.json" \
   || { echo "FAIL: reset-storm routed sweep differs from single-node run under projection"; exit 1; }
-kill $(chaos_pids) 2>/dev/null || true
-wait $(chaos_pids) 2>/dev/null || true
-CA_PID=""; CB_PID=""; CX1_PID=""; CX2_PID=""; CR1_PID=""; CR2_PID=""
-CHAOS_PID=""; ROUTER_PID=""
-# The load generator's own chaos matrix: spawned server behind an
-# in-process proxy, observed fault classes checked per scenario.
-timeout 120 ./target/release/dsp-serve-load --spawn --connections 2 \
-  --requests 15 --chaos trickle,reset --chaos-seed 7
+stop_all
 
 echo "== fleet observability (dsp-obs) smoke test =="
 # Two replicas behind a router, one routed sweep: `dualbank obs
@@ -225,18 +217,15 @@ echo "== fleet observability (dsp-obs) smoke test =="
 # trace must produce a Perfetto file that passes trace-validate with
 # the router.upstream hop present. The metric-name drift test (live
 # /metrics vs docs, both directions) rides in this step too.
-OBS_DIR=$(mktemp -d)
-OA_PID=""; OB_PID=""; OR_PID=""
-obs_pids() { echo "$OA_PID $OB_PID $OR_PID"; }
-trap 'kill $(chaos_pids) $(obs_pids) 2>/dev/null || true; rm -rf "$CACHE_DIR" "$RDIR" "$CHAOS_DIR" "$OBS_DIR"' EXIT
+OBS_DIR=$WORK/obs
 ./target/release/dualbank serve --addr 127.0.0.1:0 --jobs 1 --workers 6 \
-  --replica-id oa >"$OBS_DIR/oa.log" 2>&1 & OA_PID=$!
+  --replica-id oa >"$OBS_DIR/oa.log" 2>&1 & PIDS="$PIDS $!"
 ./target/release/dualbank serve --addr 127.0.0.1:0 --jobs 1 --workers 6 \
-  --replica-id ob >"$OBS_DIR/ob.log" 2>&1 & OB_PID=$!
+  --replica-id ob >"$OBS_DIR/ob.log" 2>&1 & PIDS="$PIDS $!"
 OA_ADDR=$(node_addr "$OBS_DIR/oa.log")
 OB_ADDR=$(node_addr "$OBS_DIR/ob.log")
 ./target/release/dsp-router --addr 127.0.0.1:0 --replicas "$OA_ADDR,$OB_ADDR" \
-  >"$OBS_DIR/router.log" 2>&1 & OR_PID=$!
+  >"$OBS_DIR/router.log" 2>&1 & PIDS="$PIDS $!"
 OR_ADDR=$(node_addr "$OBS_DIR/router.log")
 for _ in $(seq 100); do
   curl -fsS "http://$OR_ADDR/readyz" >/dev/null 2>&1 && break
@@ -276,9 +265,7 @@ grep -q '"name": "router.upstream"' "$OBS_DIR/stitched.json" \
   || { echo "FAIL: stitched export lost the router.upstream hop"; exit 1; }
 grep -q '"name": "process_name", "ph": "M", "pid": 3' "$OBS_DIR/stitched.json" \
   || { echo "FAIL: stitched export does not carry three process tracks"; exit 1; }
-kill $(obs_pids) 2>/dev/null || true
-wait $(obs_pids) 2>/dev/null || true
-OA_PID=""; OB_PID=""; OR_PID=""
+stop_all
 # Docs and live /metrics must agree on every dsp_* family name.
 cargo test -q $CARGO_FLAGS --test metrics_drift
 
@@ -288,8 +275,7 @@ echo "== dsp-gen differential fuzz smoke test =="
 # mismatch, trap, or Ideal-beating cycle count; two identical
 # invocations must produce byte-identical JSON reports (no wall times,
 # no paths — see docs/fuzzing.md).
-FUZZ_DIR=$(mktemp -d)
-trap 'kill $(chaos_pids) 2>/dev/null || true; rm -rf "$CACHE_DIR" "$RDIR" "$CHAOS_DIR" "$FUZZ_DIR"' EXIT
+FUZZ_DIR=$WORK/fuzz
 ./target/release/dualbank fuzz --seed 1 --count 200 \
   --json "$FUZZ_DIR/fuzz_a.json" >/dev/null
 ./target/release/dualbank fuzz --seed 1 --count 200 \
@@ -321,8 +307,7 @@ echo "== partitioner parity smoke test =="
 # greedy run under the deterministic projection (same partitions, same
 # schedules), and where it does differ, FM's summed cycle count must
 # never regress the greedy's.
-PART_DIR=$(mktemp -d)
-trap 'kill $(chaos_pids) 2>/dev/null || true; rm -rf "$CACHE_DIR" "$RDIR" "$CHAOS_DIR" "$FUZZ_DIR" "$PART_DIR"' EXIT
+PART_DIR=$WORK/part
 ./target/release/dualbank bench all --jobs 1 --partitioner greedy \
   --json "$PART_DIR/greedy.json" --deterministic >/dev/null
 ./target/release/dualbank bench all --jobs 1 --partitioner fm \

@@ -14,162 +14,30 @@
 //! degrading to 502 without a retry storm, and schedule determinism
 //! over the wire (two same-seed proxies injecting identical fault
 //! sequences).
+//!
+//! Last, the client-side contract in process: an in-process server
+//! behind an in-process proxy, every scenario at 100%, and each
+//! transport error classified with `dsp_serve::client::classify_error`.
+//! A scenario may surface only the fault classes it can cause, and a
+//! benign one must answer every compile and one whole, digest-verified
+//! sweep.
 
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use std::collections::BTreeMap;
 use std::sync::mpsc;
+use std::thread;
 use std::time::Duration;
 
-use dsp_serve::client::ClientConn;
-
-fn bin() -> &'static str {
-    env!("CARGO_BIN_EXE_dualbank")
-}
+use common::{scrape, spawn_chaos, spawn_chaos_with, spawn_replica, spawn_router, ChaosNode};
+use dsp_chaos::{ChaosConfig, ChaosProxy, Scenario, Schedule};
+use dsp_serve::client::{classify_error, ClientConn};
+use dsp_serve::{Server, ServerConfig};
 
 /// The sweep driven through every scenario: small enough that a cell
 /// completes in well under a second, wide enough (3 cells) that a
 /// mid-sweep fault has cells left to damage.
 const SWEEP_BODY: &str = "{\"bench\": \"fir_32_1\", \"strategies\": [\"base\", \"cb\", \"ideal\"]}";
-
-/// A child process serving on a port parsed from its startup banner.
-struct Node {
-    child: Child,
-    addr: String,
-}
-
-impl Node {
-    fn spawn(args: &[&str], banner: &str) -> Node {
-        let mut child = Command::new(bin())
-            .args(args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn node");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let addr = loop {
-            let line = lines
-                .next()
-                .expect("banner before EOF")
-                .expect("read banner");
-            if let Some(rest) = line.strip_prefix(banner) {
-                break rest.trim().to_string();
-            }
-        };
-        // Keep draining stdout so the child never blocks on a full pipe.
-        std::thread::spawn(move || lines.map_while(Result::ok).for_each(drop));
-        Node { child, addr }
-    }
-
-    fn connect(&self) -> ClientConn {
-        ClientConn::connect(&self.addr, Duration::from_secs(120)).expect("connect node")
-    }
-}
-
-impl Drop for Node {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn spawn_replica(id: &str) -> Node {
-    Node::spawn(
-        &[
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--jobs",
-            "1",
-            "--workers",
-            "6",
-            "--replica-id",
-            id,
-        ],
-        "dsp-serve listening on http://",
-    )
-}
-
-/// A chaos proxy child plus its admin (`/metrics`) address, both
-/// parsed from the two-line banner.
-struct ChaosNode {
-    node: Node,
-    admin: String,
-}
-
-fn spawn_chaos(upstream: &str, scenario: &str, seed: u64, fault_pct: u32) -> ChaosNode {
-    spawn_chaos_with(upstream, scenario, seed, fault_pct, &[])
-}
-
-fn spawn_chaos_with(
-    upstream: &str,
-    scenario: &str,
-    seed: u64,
-    fault_pct: u32,
-    extra: &[&str],
-) -> ChaosNode {
-    let seed = seed.to_string();
-    let pct = fault_pct.to_string();
-    let mut args = vec![
-        "chaos",
-        "--listen",
-        "127.0.0.1:0",
-        "--admin",
-        "127.0.0.1:0",
-        "--upstream",
-        upstream,
-        "--scenario",
-        scenario,
-        "--seed",
-        &seed,
-        "--fault-pct",
-        &pct,
-    ];
-    args.extend_from_slice(extra);
-    let mut child = Command::new(bin())
-        .args(args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn dsp-chaos");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let (mut data, mut admin) = (None, None);
-    while data.is_none() || admin.is_none() {
-        let line = lines
-            .next()
-            .expect("both banner lines before EOF")
-            .expect("read banner");
-        if let Some(rest) = line.strip_prefix("dsp-chaos listening on http://") {
-            data = Some(rest.trim().to_string());
-        } else if let Some(rest) = line.strip_prefix("dsp-chaos admin on http://") {
-            admin = Some(rest.trim().to_string());
-        }
-    }
-    std::thread::spawn(move || lines.map_while(Result::ok).for_each(drop));
-    ChaosNode {
-        node: Node {
-            child,
-            addr: data.expect("data addr"),
-        },
-        admin: admin.expect("admin addr"),
-    }
-}
-
-fn spawn_router(replicas: &[&str], extra: &[&str]) -> Node {
-    let list = replicas.join(",");
-    let mut args = vec!["router", "--addr", "127.0.0.1:0", "--replicas", &list];
-    args.extend_from_slice(extra);
-    Node::spawn(&args, "dsp-router listening on http://")
-}
-
-fn scrape(addr: &str) -> String {
-    ClientConn::connect(addr, Duration::from_secs(10))
-        .expect("connect for metrics")
-        .request("GET", "/metrics", None)
-        .expect("scrape metrics")
-        .text()
-}
 
 /// Sum of `dsp_chaos_faults_total{kind=...}` excluding `kind="none"`.
 fn faults_injected(admin_metrics: &str) -> u64 {
@@ -553,4 +421,220 @@ fn fault_onset_forwards_a_healthy_prefix_before_striking() {
         "exactly the one healthy prefix byte must have been forwarded:\n{admin}"
     );
     assert_eq!(faults_injected(&admin), 1, "{admin}");
+}
+
+/// The fault classes a scenario may legitimately surface at the
+/// client. `corrupt` (and therefore `mixed`) can land anywhere — a
+/// flipped byte may break the head, the chunk framing, or nothing at
+/// all — so they allow every class; `clean`, `delay`, and `trickle`
+/// must complete with no transport error at all.
+fn allowed_classes(scenario: Scenario) -> &'static [&'static str] {
+    match scenario.label() {
+        "clean" | "delay" | "trickle" => &[],
+        "refuse-connect" | "reset" => &["reset"],
+        // A truncated head reads as a reset; a truncated body or chunk
+        // is the distinguishable short-body class.
+        "truncate" => &["reset", "short-body"],
+        // The blackhole either outlasts the client read timeout or
+        // closes first, which reads as a reset.
+        "blackhole" => &["reset", "timeout"],
+        _ => &["other", "reset", "short-body", "timeout"],
+    }
+}
+
+/// What one scenario did to the traffic driven through its proxy.
+struct ChaosOutcome {
+    /// Transport errors by [`dsp_serve::client::FaultClass`] label.
+    classes: BTreeMap<&'static str, u64>,
+    /// Compile requests answered 200.
+    compiles_ok: usize,
+    /// The sweep's status and body, when it was answered at all.
+    sweep: Option<(u16, String)>,
+    /// Faults the proxy injected.
+    injected: u64,
+}
+
+/// Two connections × `COMPILES` compiles plus one sweep, all through a
+/// proxy injecting `scenario` faults (seed 7) on every connection.
+fn drive_through_chaos(
+    scenario: Scenario,
+    upstream: &str,
+    compile: &str,
+    sweep: &str,
+) -> ChaosOutcome {
+    const COMPILES: usize = 15;
+    let proxy = ChaosProxy::bind(ChaosConfig {
+        listen: "127.0.0.1:0".to_string(),
+        upstream: upstream.to_string(),
+        admin: None,
+        schedule: Schedule::new(scenario, 7, 100),
+    })
+    .expect("bind chaos proxy");
+    let target = proxy.local_addr().to_string();
+    let handle = proxy.handle();
+    let proxy_thread = thread::spawn(move || proxy.run());
+
+    // Blackhole holds a connection for up to ~1.5 s before closing, so
+    // a 5 s client timeout outlasts every injected delay while keeping
+    // a wedged scenario from stalling the whole matrix.
+    let timeout = Duration::from_secs(5);
+    let mut classes = BTreeMap::new();
+    let (compiles_ok, sweep) = thread::scope(|s| {
+        let compilers: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut ok = 0;
+                    let mut errors = Vec::new();
+                    let mut conn: Option<ClientConn> = None;
+                    for _ in 0..COMPILES {
+                        if conn.is_none() {
+                            match ClientConn::connect(&target, timeout) {
+                                Ok(c) => conn = Some(c),
+                                Err(e) => {
+                                    errors.push(classify_error(&e).label());
+                                    continue;
+                                }
+                            }
+                        }
+                        let c = conn.as_mut().expect("connected above");
+                        match c.request("POST", "/compile", Some(compile)) {
+                            Ok(resp) => ok += usize::from(resp.status == 200),
+                            Err(e) => {
+                                errors.push(classify_error(&e).label());
+                                // The fault consumed this connection; the
+                                // next request dials a fresh one (a fresh
+                                // schedule index, so possibly different
+                                // parameters).
+                                conn = None;
+                            }
+                        }
+                    }
+                    (ok, errors)
+                })
+            })
+            .collect();
+        // One sweep rides along with a longer timeout: a trickled
+        // sweep document is much larger than a compile response and
+        // must still count as "completed slowly", not as a timeout.
+        let sweeper = s.spawn(|| {
+            ClientConn::connect(&target, Duration::from_secs(20))
+                .and_then(|mut c| c.request("POST", "/sweep", Some(sweep)))
+                .map(|resp| (resp.status, resp.text()))
+                .map_err(|e| classify_error(&e).label())
+        });
+        let mut ok = 0;
+        for compiler in compilers {
+            let (n, errors) = compiler.join().expect("compile connection");
+            ok += n;
+            for class in errors {
+                *classes.entry(class).or_insert(0) += 1;
+            }
+        }
+        let sweep = match sweeper.join().expect("sweep connection") {
+            Ok(answer) => Some(answer),
+            Err(class) => {
+                *classes.entry(class).or_insert(0) += 1;
+                None
+            }
+        };
+        (ok, sweep)
+    });
+
+    handle.shutdown();
+    let _ = proxy_thread.join();
+    ChaosOutcome {
+        classes,
+        compiles_ok,
+        sweep,
+        injected: handle.counters().faults_injected(),
+    }
+}
+
+#[test]
+fn every_scenario_surfaces_only_its_fault_classes_at_the_client() {
+    let server = Server::bind(ServerConfig::default()).expect("bind server");
+    let upstream = server.local_addr().to_string();
+    let server_handle = server.handle();
+    let server_thread = thread::spawn(move || server.run());
+
+    let source = "
+float A[64]; float B[64]; float out;
+void main() {
+  int i; float acc; acc = 0.0;
+  for (i = 0; i < 64; i++) acc += A[i] * B[i];
+  out = acc;
+}";
+    let escaped = dsp_driver::json::escape(source);
+    let compile = format!("{{\"source\": {escaped}, \"strategy\": \"cb\"}}");
+    let sweep = format!("{{\"source\": {escaped}}}");
+    // The sweep straight from the server, for benign scenarios to match.
+    let reference = {
+        let resp = ClientConn::connect(&upstream, Duration::from_secs(60))
+            .expect("connect server")
+            .request("POST", "/sweep", Some(&sweep))
+            .expect("reference sweep");
+        assert_eq!(resp.status, 200, "body: {}", resp.text());
+        dsp_driver::project_deterministic_json(&resp.text()).expect("project reference")
+    };
+
+    for scenario in dsp_chaos::SCENARIOS {
+        let label = scenario.label();
+        let out = within(Duration::from_secs(120), label, {
+            let (upstream, compile, sweep) = (upstream.clone(), compile.clone(), sweep.clone());
+            move || drive_through_chaos(scenario, &upstream, &compile, &sweep)
+        });
+
+        // Every observed fault class is in the scenario's contract, and
+        // the proxy really injected faults (or provably stayed out of
+        // the way, for `clean`).
+        let allowed = allowed_classes(scenario);
+        let unexpected: Vec<_> = out
+            .classes
+            .keys()
+            .filter(|class| !allowed.contains(*class))
+            .collect();
+        assert!(
+            unexpected.is_empty(),
+            "{label}: unexpected fault class(es) {unexpected:?} (allowed: {allowed:?}, seen: {:?})",
+            out.classes
+        );
+        if scenario == Scenario::Clean {
+            assert_eq!(out.injected, 0, "clean: the proxy must not inject");
+        } else {
+            assert!(out.injected > 0, "{label}: no faults injected");
+        }
+
+        // Benign scenarios complete every request, and the sweep comes
+        // back whole — slowly is fine, truncated or damaged is not.
+        if allowed.is_empty() {
+            assert_eq!(
+                out.compiles_ok, 30,
+                "{label}: every compile must answer 200"
+            );
+            let (status, doc) = out
+                .sweep
+                .unwrap_or_else(|| panic!("{label}: the sweep was not answered"));
+            assert_eq!(status, 200, "{label}: {doc}");
+            assert!(
+                doc.contains("\"truncated\": false"),
+                "{label}: sweep was truncated: {doc}"
+            );
+            assert_eq!(
+                dsp_driver::verify_report_digests(&doc),
+                Ok(7),
+                "{label}: every job must carry a valid digest"
+            );
+            assert_eq!(
+                dsp_driver::project_deterministic_json(&doc).expect("project sweep"),
+                reference,
+                "{label}: sweep differs from the direct one under projection"
+            );
+        }
+    }
+
+    server_handle.shutdown();
+    server_thread
+        .join()
+        .expect("server thread")
+        .expect("server run");
 }

@@ -14,62 +14,13 @@
 //! are every `dsp_[a-z0-9_]*` token in docs/observability.md,
 //! docs/serving.md, and docs/chaos.md.
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufRead, BufReader};
-use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use common::{scrape, spawn_chaos, spawn_router, Node};
 use dsp_serve::client::ClientConn;
-
-fn bin() -> &'static str {
-    env!("CARGO_BIN_EXE_dualbank")
-}
-
-/// A child process serving on a port parsed from its startup banner.
-struct Node {
-    child: Child,
-    addr: String,
-}
-
-impl Node {
-    fn spawn(args: &[&str], banner: &str) -> Node {
-        let mut child = Command::new(bin())
-            .args(args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn node");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let addr = loop {
-            let line = lines
-                .next()
-                .expect("banner before EOF")
-                .expect("read banner");
-            if let Some(rest) = line.strip_prefix(banner) {
-                break rest.trim().to_string();
-            }
-        };
-        std::thread::spawn(move || lines.map_while(Result::ok).for_each(drop));
-        Node { child, addr }
-    }
-}
-
-impl Drop for Node {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn scrape(addr: &str) -> String {
-    let resp = ClientConn::connect(addr, Duration::from_secs(10))
-        .expect("connect for metrics")
-        .request("GET", "/metrics", None)
-        .expect("scrape metrics");
-    assert_eq!(resp.status, 200, "metrics endpoint must answer 200");
-    resp.text()
-}
 
 /// Family names declared by `# TYPE` lines in one exposition.
 fn live_families(exposition: &str) -> BTreeSet<String> {
@@ -187,44 +138,10 @@ fn docs_and_live_metrics_agree_on_every_family_name() {
         ],
         "dsp-serve listening on http://",
     );
-    let router = Node::spawn(
-        &[
-            "router",
-            "--addr",
-            "127.0.0.1:0",
-            "--replicas",
-            &replica.addr,
-        ],
-        "dsp-router listening on http://",
-    );
-    // The chaos admin surface carries the dsp_chaos_* families; its
-    // address is the second banner line.
-    let mut chaos = Command::new(bin())
-        .args([
-            "chaos",
-            "--listen",
-            "127.0.0.1:0",
-            "--admin",
-            "127.0.0.1:0",
-            "--upstream",
-            &replica.addr,
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn dsp-chaos");
-    let stdout = chaos.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let admin = loop {
-        let line = lines
-            .next()
-            .expect("admin banner before EOF")
-            .expect("read banner");
-        if let Some(rest) = line.strip_prefix("dsp-chaos admin on http://") {
-            break rest.trim().to_string();
-        }
-    };
-    std::thread::spawn(move || lines.map_while(Result::ok).for_each(drop));
+    let router = spawn_router(&[&replica.addr], &[]);
+    // The chaos admin surface carries the dsp_chaos_* families; the
+    // scenario, seed and fault rate are the proxy's defaults.
+    let chaos = spawn_chaos(&replica.addr, "mixed", 1, 50);
 
     // Histogram families render only once non-empty: one compile
     // through the router feeds the router's request/upstream families
@@ -245,14 +162,13 @@ fn docs_and_live_metrics_agree_on_every_family_name() {
     for (node, addr) in [
         ("serve", &replica.addr),
         ("router", &router.addr),
-        ("chaos", &admin),
+        ("chaos", &chaos.admin),
     ] {
         let exposition = scrape(addr);
         assert_well_formed(node, &exposition);
         live.extend(live_families(&exposition));
     }
-    let _ = chaos.kill();
-    let _ = chaos.wait();
+    drop(chaos);
     let _ = std::fs::remove_dir_all(&cache_dir);
     assert!(
         live.iter().any(|f| f.starts_with("dsp_serve_")),

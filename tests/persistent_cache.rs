@@ -3,14 +3,14 @@
 //! a SIGKILL mid-run never corrupts the store, and a tampered entry is
 //! quarantined instead of served.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
-fn bin() -> &'static str {
-    env!("CARGO_BIN_EXE_dualbank")
-}
+use common::bin;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicUsize = AtomicUsize::new(0);

@@ -7,16 +7,14 @@
 //! the failover must be visible in the router's `dsp_router_*`
 //! metrics.
 
-use std::io::{BufRead, BufReader, Read, Write};
+mod common;
+
+use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::time::Duration;
 
-use dsp_serve::client::ClientConn;
-
-fn bin() -> &'static str {
-    env!("CARGO_BIN_EXE_dualbank")
-}
+use common::{bin, spawn_replica, spawn_router};
 
 const FIR_SRC: &str = "
 float A[32]; float B[32]; float out;
@@ -27,80 +25,6 @@ void main() {
 }";
 
 const STRATEGIES: [&str; 7] = ["base", "cb", "pr", "dup", "seldup", "fulldup", "ideal"];
-
-/// A child process serving on a port parsed from its startup banner.
-struct Node {
-    child: Child,
-    addr: String,
-}
-
-impl Node {
-    fn spawn(args: &[&str], banner: &str) -> Node {
-        let mut child = Command::new(bin())
-            .args(args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn node");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let addr = loop {
-            let line = lines
-                .next()
-                .expect("banner before EOF")
-                .expect("read banner");
-            if let Some(rest) = line.strip_prefix(banner) {
-                break rest.trim().to_string();
-            }
-        };
-        // Keep draining stdout so the child never blocks on a full pipe.
-        std::thread::spawn(move || lines.map_while(Result::ok).for_each(drop));
-        Node { child, addr }
-    }
-
-    fn connect(&self) -> ClientConn {
-        ClientConn::connect(&self.addr, Duration::from_secs(120)).expect("connect node")
-    }
-}
-
-impl Drop for Node {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn spawn_replica(id: &str) -> Node {
-    Node::spawn(
-        &[
-            "serve",
-            "--addr",
-            "127.0.0.1:0",
-            "--jobs",
-            "1",
-            // Connection workers must cover the router's pooled
-            // keep-alive connections PLUS its readiness probes: a
-            // probe starved behind idle pooled connections looks like
-            // a dead replica and gets a healthy node ejected.
-            "--workers",
-            "6",
-            "--replica-id",
-            id,
-        ],
-        "dsp-serve listening on http://",
-    )
-}
-
-fn spawn_router(replicas: &[&Node], extra: &[&str]) -> Node {
-    let list = replicas
-        .iter()
-        .map(|n| n.addr.clone())
-        .collect::<Vec<_>>()
-        .join(",");
-    let mut args = vec!["router", "--addr", "127.0.0.1:0", "--replicas", &list];
-    args.extend_from_slice(extra);
-    Node::spawn(&args, "dsp-router listening on http://")
-}
 
 fn compile_body(strategy: &str) -> String {
     format!(
@@ -134,7 +58,7 @@ fn sigkilled_replica_mid_sweep_yields_a_well_formed_document_and_visible_failove
     // kill must be discovered by the per-cell retry path itself, which
     // is exactly the failover this test wants to see in the metrics.
     let router = spawn_router(
-        &[&ra, &rb],
+        &[&ra.addr, &rb.addr],
         &["--fanout", "1", "--retries", "3", "--probe-ms", "60000"],
     );
 
