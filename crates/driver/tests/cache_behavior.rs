@@ -1,6 +1,7 @@
 //! Cache-layer behavior: hit/miss accounting, invalidation on source
 //! and config changes, and isolation between strategies.
 
+use std::num::NonZeroUsize;
 use std::sync::Barrier;
 
 use dsp_backend::{CompileConfig, Strategy};
@@ -217,6 +218,41 @@ fn engine_byte_budget_bounds_the_cache() {
         "resident estimate must stay near the budget \
          ({prepared_resident} + {artifact_resident} vs {one_source})"
     );
+}
+
+#[test]
+fn small_entry_capacity_prepares_each_source_once() {
+    // A bounded cache must still hold a source while its row runs:
+    // evicting it between its first cell and a sibling would parse,
+    // profile and run the reference again.
+    let benches = &dsp_workloads::all()[..8];
+    let sweep = |cache_capacity| {
+        let engine = Engine::new(EngineOptions {
+            jobs: 2,
+            cache_capacity,
+            ..EngineOptions::default()
+        });
+        engine.run_matrix(benches, &Strategy::ALL).expect("sweep")
+    };
+    let unbounded = sweep(None).deterministic_json();
+    for capacity in 3..=6 {
+        let report = sweep(NonZeroUsize::new(capacity));
+        let stats = report.cache;
+        assert_eq!(
+            (
+                stats.prepared_misses,
+                stats.profile_misses,
+                stats.reference_misses
+            ),
+            (8, 8, 8),
+            "capacity {capacity}: one prepare, profile and reference run per source"
+        );
+        assert_eq!(
+            report.deterministic_json(),
+            unbounded,
+            "capacity {capacity}: same projection as an unbounded sweep"
+        );
+    }
 }
 
 #[test]
