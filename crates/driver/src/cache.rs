@@ -28,7 +28,10 @@
 //! key block on one computation instead of duplicating it. For an
 //! unbounded cache, the miss count of a layer therefore equals the
 //! number of distinct keys ever requested — a deterministic quantity,
-//! independent of thread scheduling.
+//! independent of thread scheduling. The engine submits each source's
+//! first cell ahead of its siblings, so in a matrix sweep the siblings
+//! seldom block: the once-per-source lookups (`prepared`, `profile`,
+//! `reference`) return a [`Lookup`] that says whether one did.
 //!
 //! # Bounding
 //!
@@ -552,7 +555,7 @@ impl ArtifactCache {
     }
 
     /// The profiling run over `prep.opt_ir`, computed at most once per
-    /// source.
+    /// source, with how this call got it.
     ///
     /// # Errors
     ///
@@ -560,7 +563,8 @@ impl ArtifactCache {
     pub fn profile<'a>(
         &self,
         prep: &'a PreparedSource,
-    ) -> Result<(&'a ExecStats, Duration, bool), CompileError> {
+    ) -> Result<(&'a ExecStats, Duration, Lookup), CompileError> {
+        let filled = prep.profile.get().is_some();
         let mut fresh = false;
         let (result, time) = prep.profile.get_or_init(|| {
             fresh = true;
@@ -569,7 +573,7 @@ impl ArtifactCache {
         });
         count(fresh, &self.profile_hits, &self.profile_misses);
         match result {
-            Ok(stats) => Ok((stats, *time, !fresh)),
+            Ok(stats) => Ok((stats, *time, Lookup::of(fresh, filled))),
             Err(e) => Err(e.clone()),
         }
     }
@@ -759,7 +763,7 @@ mod tests {
     }
 
     #[test]
-    fn reference_lookups_report_miss_then_hit() {
+    fn reference_and_profile_lookups_report_miss_then_hit() {
         let cache = ArtifactCache::new();
         let (prep, _) = cache.prepared(SRC).unwrap();
         let (first, _, miss) = cache.reference(&prep).unwrap();
@@ -767,6 +771,12 @@ mod tests {
         assert_eq!((miss, hit), (Lookup::Miss, Lookup::Hit));
         assert!(std::ptr::eq(first, second));
         assert_eq!((miss.label(), hit.label()), ("miss", "hit"));
+        let (first, _, miss) = cache.profile(&prep).unwrap();
+        let (second, _, hit) = cache.profile(&prep).unwrap();
+        assert_eq!((miss, hit), (Lookup::Miss, Lookup::Hit));
+        assert!(std::ptr::eq(first, second));
+        let stats = cache.stats();
+        assert_eq!((stats.profile_misses, stats.profile_hits), (1, 1));
     }
 
     #[test]

@@ -51,6 +51,12 @@ echo "== dsp-perf release-mode correctness gate =="
 # compiled fresh and checked word for word against the reference
 # interpreter.
 ./target/release/dsp-perf run --quick --workload gen-cold --seed 2 >/dev/null
+# The cold and restart paths, whose cells the engine submits out of
+# matrix order: a fresh engine per sweep, then a fresh engine over a
+# filled on-disk store. Both pin the suite digest, the cycle total and
+# the per-sweep cache counts.
+./target/release/dsp-perf run --quick --workload suite-cold --seed 2 >/dev/null
+./target/release/dsp-perf run --quick --workload suite-disk --seed 2 >/dev/null
 
 echo "== persistent-cache crash smoke test =="
 # Kill a sweep mid-run, restart over the crashed store, and require the
