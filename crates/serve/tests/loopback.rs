@@ -466,10 +466,11 @@ fn deadline_truncates_a_streamed_sweep_into_a_well_formed_document() {
 
 #[test]
 fn interactive_compile_overtakes_an_in_flight_sweep() {
-    // One executor thread, so a 23-cell sweep keeps the pool busy for
-    // a while. A /compile submitted mid-sweep is Interactive: it waits
-    // only on the one running cell, not the whole queue, so it must
-    // complete while the sweep is still streaming.
+    // One executor thread, so the full 161-cell sweep keeps the pool
+    // busy for a while (a one-strategy sweep of 23 cells can finish
+    // within the 300 ms below). A /compile submitted mid-sweep is
+    // Interactive: it waits only on the one running cell, not the whole
+    // queue, so it must complete while the sweep is still streaming.
     let server = TestServer::start(ServerConfig {
         workers: 2,
         jobs: 1,
@@ -481,11 +482,7 @@ fn interactive_compile_overtakes_an_in_flight_sweep() {
     let addr = server.addr;
     let sweep = std::thread::spawn(move || {
         let mut conn = ClientConn::connect(addr, Duration::from_secs(300)).expect("connect");
-        conn.request(
-            "POST",
-            "/sweep",
-            Some("{\"bench\": \"all\", \"strategies\": [\"base\"]}"),
-        )
+        conn.request("POST", "/sweep", Some("{\"bench\": \"all\"}"))
     });
     // Give the sweep time to submit its matrix and start running.
     std::thread::sleep(Duration::from_millis(300));
@@ -517,7 +514,7 @@ fn interactive_compile_overtakes_an_in_flight_sweep() {
         doc.get("jobs")
             .and_then(Value::as_array)
             .map(<[Value]>::len),
-        Some(23)
+        Some(161)
     );
     server.stop();
 }
