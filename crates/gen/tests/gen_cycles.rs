@@ -8,6 +8,12 @@
 //! cell against the reference interpreter. A scheduler or allocator
 //! change that moves one schedule moves a line here; the failure
 //! message prints the complete new fixture.
+//!
+//! The same programs, with the 23 suite programs, also pin the
+//! optimizer's output: `crates/driver/tests/golden/opt_ir.txt` holds an
+//! FNV-1a digest of each program's optimized IR text. A change to an
+//! optimizer pass that must not change its output is checked there,
+//! before any cycle count could hide or repeat the difference.
 
 use std::path::Path;
 
@@ -15,9 +21,12 @@ use dsp_backend::Strategy;
 use dsp_driver::Engine;
 use dsp_gen::rng::Rng;
 use dsp_gen::{generate_source, GenConfig};
+use dsp_trace::fnv1a;
 use dsp_workloads::{corpus, runner, Benchmark};
 
 const FIXTURE: &str = include_str!("golden/gen_cycles.txt");
+
+const OPT_IR_FIXTURE: &str = include_str!("../../driver/tests/golden/opt_ir.txt");
 
 /// Seed of the program stream.
 const SEED: u64 = 2;
@@ -53,6 +62,43 @@ fn programs() -> Vec<(u64, Benchmark)> {
     out
 }
 
+/// Panic with the first differing line and the complete new fixture.
+fn assert_fixture(actual: &str, expected: &str, path: &str) {
+    if actual != expected {
+        let first = actual
+            .lines()
+            .zip(expected.lines())
+            .find(|(a, e)| a != e)
+            .map_or_else(
+                || "line counts differ".to_string(),
+                |(a, e)| format!("expected `{e}`\n     got `{a}`"),
+            );
+        panic!("{path} drifted\n{first}\n--- complete actual fixture ---\n{actual}");
+    }
+}
+
+#[test]
+fn optimized_ir_matches_the_golden_fixture() {
+    let line = |name: &str, bench: &Benchmark| {
+        let mut ir = runner::frontend(bench).unwrap_or_else(|e| panic!("{name}: {e}"));
+        dsp_backend::opt::optimize(&mut ir);
+        format!("{name} opt_ir={:016x}\n", fnv1a(ir.dump().as_bytes()))
+    };
+    let mut actual = String::new();
+    for bench in dsp_workloads::all() {
+        actual.push_str(&line(&bench.name, &bench));
+    }
+    for (seed, bench) in &programs() {
+        actual.push_str(&line(&format!("{} {seed:#018x}", bench.name), bench));
+    }
+    assert_eq!(actual.lines().count(), 23 + PROGRAMS);
+    assert_fixture(
+        &actual,
+        OPT_IR_FIXTURE,
+        "crates/driver/tests/golden/opt_ir.txt",
+    );
+}
+
 #[test]
 fn generated_program_cycles_match_the_golden_fixture() {
     let programs = programs();
@@ -71,18 +117,9 @@ fn generated_program_cycles_match_the_golden_fixture() {
         }
     }
     assert_eq!(actual.lines().count(), PROGRAMS * Strategy::ALL.len());
-    if actual != FIXTURE {
-        let first = actual
-            .lines()
-            .zip(FIXTURE.lines())
-            .find(|(a, e)| a != e)
-            .map_or_else(
-                || "line counts differ".to_string(),
-                |(a, e)| format!("expected `{e}`\n     got `{a}`"),
-            );
-        panic!(
-            "generated-program cycles drifted from tests/golden/gen_cycles.txt\n{first}\n\
-             --- complete actual fixture ---\n{actual}"
-        );
-    }
+    assert_fixture(
+        &actual,
+        FIXTURE,
+        "generated-program cycles (tests/golden/gen_cycles.txt)",
+    );
 }
