@@ -25,7 +25,7 @@ pub mod loops;
 pub mod macfuse;
 pub mod rotate;
 
-use dsp_ir::Program;
+use dsp_ir::{Function, Program};
 
 /// Wall time spent in one optimization pass, summed over every
 /// invocation and every function in the pipeline run.
@@ -65,32 +65,76 @@ pub fn optimize(program: &mut Program) {
 pub fn optimize_timed(program: &mut Program) -> Vec<PassTime> {
     let mut acc = Vec::new();
     for f in &mut program.funcs {
-        timed(&mut acc, "local", || local::run(f));
-        timed(&mut acc, "dce", || dce::run(f));
-        timed(&mut acc, "unreachable", || dce::remove_unreachable(f));
-        timed(&mut acc, "merge", || loops::merge_blocks(f));
-        // Two rounds let derived induction variables chain (e.g.
-        // `B[k*10 + j]` needs the `k*10` IV before the `+ j` IV).
-        for _ in 0..2 {
-            timed(&mut acc, "preheaders", || {
-                loops::insert_preheaders(f);
-            });
-            timed(&mut acc, "licm", || licm::run(f));
-            timed(&mut acc, "ivopt", || ivopt::run(f));
-            timed(&mut acc, "local", || local::run(f));
-            timed(&mut acc, "dce", || dce::run(f));
-        }
-        timed(&mut acc, "macfuse", || macfuse::run(f));
-        timed(&mut acc, "rotate", || rotate::run(f));
-        timed(&mut acc, "thread", || loops::thread_jumps(f));
-        timed(&mut acc, "unreachable", || dce::remove_unreachable(f));
-        timed(&mut acc, "merge", || loops::merge_blocks(f));
-        timed(&mut acc, "local", || local::run(f));
-        timed(&mut acc, "dce", || dce::run(f));
-        timed(&mut acc, "faint-dce", || dce::run_liveness(f));
+        pipeline(f, |pass, run, f| timed(&mut acc, pass, || run(f)));
     }
     debug_assert_eq!(program.validate(), Ok(()), "optimizer broke the program");
     acc
+}
+
+/// The pipeline over one function: `step(name, pass, f)` is called for
+/// each pass in order and must run `pass(f)`.
+fn pipeline(
+    f: &mut Function,
+    mut step: impl FnMut(&'static str, fn(&mut Function), &mut Function),
+) {
+    step("local", local::run, f);
+    step("dce", dce::run, f);
+    step("unreachable", dce::remove_unreachable, f);
+    step("merge", loops::merge_blocks, f);
+    // Two rounds let derived induction variables chain (e.g.
+    // `B[k*10 + j]` needs the `k*10` IV before the `+ j` IV).
+    for _ in 0..2 {
+        step(
+            "preheaders",
+            |f| {
+                loops::insert_preheaders(f);
+            },
+            f,
+        );
+        step("licm", licm::run, f);
+        step("ivopt", ivopt::run, f);
+        step("local", local::run, f);
+        step("dce", dce::run, f);
+    }
+    step("macfuse", macfuse::run, f);
+    step("rotate", rotate::run, f);
+    step("thread", loops::thread_jumps, f);
+    step("unreachable", dce::remove_unreachable, f);
+    step("merge", loops::merge_blocks, f);
+    step("local", local::run, f);
+    step("dce", dce::run, f);
+    step("faint-dce", dce::run_liveness, f);
+}
+
+/// Test support: optimize `count` seeded `dsp-gen` programs, calling
+/// `check(before, after)` around every run of the pass named `name`, so
+/// an executable specification sees the pass's real inputs. Returns how
+/// many runs changed the function.
+#[cfg(test)]
+pub(crate) fn check_pass_on_generated(
+    name: &str,
+    count: usize,
+    mut check: impl FnMut(&Function, &Function),
+) -> usize {
+    let mut rng = dsp_gen::rng::Rng::new(21);
+    let config = dsp_gen::GenConfig::default();
+    let mut changed = 0;
+    for _ in 0..count {
+        let source = dsp_gen::generate_source(rng.next_u64(), &config);
+        let mut program = dsp_frontend::compile_str(&source).expect("generated programs compile");
+        for f in &mut program.funcs {
+            pipeline(f, |pass, run, f| {
+                if pass != name {
+                    return run(f);
+                }
+                let before = f.clone();
+                run(f);
+                check(&before, f);
+                changed += usize::from(before != *f);
+            });
+        }
+    }
+    changed
 }
 
 #[cfg(test)]

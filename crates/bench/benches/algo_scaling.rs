@@ -2,8 +2,9 @@
 //! complexity claims: interference-graph construction is `O(B·n²)` in
 //! block size, partitioning scales with graph size (the rescanning
 //! greedy of §3.1 is `O(v²)`; the gain-bucket implementations are
-//! near-linear on bounded-degree graphs), and whole-program compilation
-//! stays interactive.
+//! near-linear on bounded-degree graphs), loop-invariant code motion
+//! hoists a chain of `n` invariant ops in `O(n log n)`, and
+//! whole-program compilation stays interactive.
 //!
 //! Run: `cargo bench -p dsp-bench --bench algo_scaling`
 //!
@@ -44,6 +45,16 @@ fn synthetic_block(n: usize, vars: usize) -> (Vec<dsp_ir::ops::Op>, Vec<MemClaim
         }
     }
     (ops, claims)
+}
+
+/// A loop whose body computes a chain of `n` invariant multiplies
+/// (`a * b * b * …`, each op reading the one before) and stores it.
+fn invariant_chain(n: usize) -> String {
+    let chain = " * b".repeat(n - 1);
+    format!(
+        "int a = 3; int b = 5; int A[16];
+         void main() {{ int i; for (i = 0; i < 16; i++) A[i] = a{chain} + i; }}"
+    )
 }
 
 /// A random bounded-degree interference graph over `v` variables
@@ -136,6 +147,16 @@ fn main() {
             human(fast),
             human(fm)
         );
+    }
+
+    println!("optimizer (one loop, a chain of n invariant ops)");
+    for &n in &[64usize, 256, 1024] {
+        let ir = dsp_frontend::compile_str(&invariant_chain(n)).expect("parses");
+        let (samples, iters) = if n >= 1024 { (5, 5) } else { (20, 20) };
+        let t = time_median(samples, iters, || {
+            dsp_backend::opt::optimize(&mut ir.clone());
+        });
+        println!("  n = {n:>4}  {}", human(t));
     }
 
     println!("whole-program compile (fir 32×1, CB)");

@@ -597,14 +597,14 @@ pub fn run_job(
             if let Some(anchor) = span.start_instant() {
                 let ctx = span.ctx();
                 tracer.record_span("parse", "stage", ctx, anchor, prep.parse_time, Vec::new());
-                tracer.record_span(
-                    "opt",
-                    "stage",
-                    ctx,
-                    anchor + prep.parse_time,
-                    prep.opt_time,
-                    Vec::new(),
-                );
+                let mut at = anchor + prep.parse_time;
+                let opt = tracer.record_span("opt", "stage", ctx, at, prep.opt_time, Vec::new());
+                // One child per pass, back to back in first-run order;
+                // like `final_pack`'s parts, no histogram of their own.
+                for pass in &prep.opt_passes {
+                    tracer.record_span(pass.pass, "stage", opt, at, pass.time, Vec::new());
+                    at += pass.time;
+                }
             }
             tracer.observe(families::STAGE, "parse", prep.parse_time);
             tracer.observe(families::STAGE, "opt", prep.opt_time);
@@ -1008,6 +1008,21 @@ mod tests {
         for name in ["deps", "priorities", "compact"] {
             assert_eq!(find(name).parent, find("final_pack").span);
         }
+        // The prepared miss splits `opt` into one span per pass, laid
+        // end to end inside it.
+        let opt = find("opt");
+        assert_eq!(opt.parent, find("prepared").span);
+        let passes: Vec<_> = spans.iter().filter(|s| s.parent == opt.span).collect();
+        let names: Vec<&str> = passes.iter().map(|s| s.name).collect();
+        for name in ["local", "dce", "preheaders", "licm", "ivopt", "faint-dce"] {
+            assert!(names.contains(&name), "pass span `{name}`: {names:?}");
+        }
+        let passes_us: u64 = passes.iter().map(|s| s.dur_us).sum();
+        assert!(
+            passes_us <= opt.dur_us,
+            "{passes_us} us > {} us",
+            opt.dur_us
+        );
         // …and the stage histogram family saw them.
         let fam = tracer.family_snapshot(families::STAGE);
         let labels: Vec<&str> = fam.iter().map(|(l, _)| l.as_str()).collect();

@@ -356,48 +356,55 @@ impl Op {
         }
     }
 
-    /// The virtual registers this operation reads.
+    /// The virtual registers this operation reads, in operand order.
     #[must_use]
     pub fn uses(&self) -> Vec<VReg> {
         let mut out = Vec::new();
+        self.for_each_use(|v| out.push(v));
+        out
+    }
+
+    /// Visit each virtual register this operation reads, in the order
+    /// of [`Op::uses`], without allocating. A register read twice is
+    /// visited twice.
+    pub fn for_each_use(&self, mut f: impl FnMut(VReg)) {
         match self {
-            Op::MovI { src, .. } => out.extend(src.reg()),
-            Op::MovF { src, .. } => out.extend(src.reg()),
+            Op::MovI { src, .. } => src.reg().into_iter().for_each(f),
+            Op::MovF { src, .. } => src.reg().into_iter().for_each(f),
             Op::IBin { lhs, rhs, .. } | Op::ICmp { lhs, rhs, .. } => {
-                out.push(*lhs);
-                out.extend(rhs.reg());
+                f(*lhs);
+                rhs.reg().into_iter().for_each(f);
             }
             Op::INeg { src, .. }
             | Op::INot { src, .. }
             | Op::FNeg { src, .. }
             | Op::ItoF { src, .. }
-            | Op::FtoI { src, .. } => out.push(*src),
+            | Op::FtoI { src, .. } => f(*src),
             Op::FBin { lhs, rhs, .. } | Op::FCmp { lhs, rhs, .. } => {
-                out.push(*lhs);
-                out.push(*rhs);
+                f(*lhs);
+                f(*rhs);
             }
             Op::FMac { acc, a, b } => {
-                out.push(*acc);
-                out.push(*a);
-                out.push(*b);
+                f(*acc);
+                f(*a);
+                f(*b);
             }
-            Op::Load { addr, .. } => out.extend(addr.index),
+            Op::Load { addr, .. } => addr.index.into_iter().for_each(f),
             Op::Store { src, addr } => {
-                out.push(*src);
-                out.extend(addr.index);
+                f(*src);
+                addr.index.into_iter().for_each(f);
             }
             Op::Call { args, .. } => {
                 for a in args {
                     if let Arg::Value(v) = a {
-                        out.push(*v);
+                        f(*v);
                     }
                 }
             }
-            Op::Br { cond, .. } => out.push(*cond),
+            Op::Br { cond, .. } => f(*cond),
             Op::Jmp(_) => {}
-            Op::Ret(v) => out.extend(*v),
+            Op::Ret(v) => v.iter().copied().for_each(f),
         }
-        out
     }
 
     /// Rewrite every register this operation *reads* through `f`.
