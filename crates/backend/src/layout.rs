@@ -251,7 +251,12 @@ mod tests {
                      out = acc;
                    }";
         let p = compile_str(src).unwrap();
-        let alloc = BankAllocation::compute(&p, &AllocOptions::default(), None);
+        let alloc = BankAllocation::compute(
+            &p,
+            &dsp_bankalloc::trial_conflicts(&p),
+            &AllocOptions::default(),
+            None,
+        );
         let layout = DataLayout::compute(&p, &alloc);
         let a = p.global_by_name("A").unwrap();
         let b = p.global_by_name("B").unwrap();
@@ -275,7 +280,7 @@ mod tests {
             duplication: DuplicationMode::Partial,
             ..AllocOptions::default()
         };
-        let alloc = BankAllocation::compute(&p, &opts, None);
+        let alloc = BankAllocation::compute(&p, &dsp_bankalloc::trial_conflicts(&p), &opts, None);
         let layout = DataLayout::compute(&p, &alloc);
         let s = p.global_by_name("s").unwrap();
         assert!(alloc.is_duplicated_global(s));
@@ -293,7 +298,12 @@ mod tests {
         let src = "int A[2] = {7, 8}; int B[2] = {9, 10}; int out;
                    void main() { out = A[0] + B[0]; }";
         let p = compile_str(src).unwrap();
-        let alloc = BankAllocation::compute(&p, &AllocOptions::default(), None);
+        let alloc = BankAllocation::compute(
+            &p,
+            &dsp_bankalloc::trial_conflicts(&p),
+            &AllocOptions::default(),
+            None,
+        );
         let layout = DataLayout::compute(&p, &alloc);
         let a = p.global_by_name("A").unwrap();
         let addr = layout.global_addr[a.index()];

@@ -44,14 +44,18 @@ pub mod layout;
 pub mod link;
 pub mod lir;
 pub mod lirgen;
+pub mod memo;
 pub mod opt;
 pub mod regalloc;
 pub mod schedule;
+
+use std::sync::Arc;
 
 pub use dsp_bankalloc::PartitionerKind;
 use dsp_bankalloc::{AllocOptions, BankAllocation, DuplicationMode, WeightKind};
 use dsp_ir::{ExecStats, FuncId, InterpError, Interpreter, Program};
 use dsp_machine::VliwProgram;
+pub use memo::{BackendKey, Lookup, Reuse, SourceMemo};
 
 /// The compilation configurations evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,6 +157,21 @@ pub struct CompileOutput {
     pub ir: Program,
     /// The strategy used.
     pub strategy: Strategy,
+}
+
+/// One strategy's compile through a [`SourceMemo`]
+/// ([`compile_optimized`]).
+#[derive(Debug, Clone)]
+pub struct Compiled {
+    /// The linked executable, shared with every compile of the source
+    /// that reached the same [`BackendKey`] while this one was held.
+    pub program: Arc<VliwProgram>,
+    /// The data allocation that was applied.
+    pub alloc: BankAllocation,
+    /// The strategy used.
+    pub strategy: Strategy,
+    /// Which strategy-independent products this compile computed.
+    pub reuse: Reuse,
 }
 
 /// Compilation errors.
@@ -264,11 +283,14 @@ pub struct CompileTimings {
     pub opt_passes: Vec<opt::PassTime>,
     /// Profiling interpreter run (Pr/SelDup only).
     pub profile: std::time::Duration,
-    /// Trial compaction: interference-graph construction.
+    /// Trial compaction: the conflicts interference-graph construction
+    /// starts from (zero when a [`SourceMemo`] already held them).
     pub trial_compaction: std::time::Duration,
+    /// Weighting the trial's conflicts into the interference graph, and
     /// X/Y graph partitioning.
     pub partition: std::time::Duration,
-    /// Register allocation, summed over functions.
+    /// Register allocation, summed over the functions this compile
+    /// allocated (a [`SourceMemo`] allocates each function once).
     pub regalloc: std::time::Duration,
     /// LIR lowering (instruction selection, frames), summed over
     /// functions.
@@ -342,7 +364,13 @@ pub fn compile_ir_timed(
         }
         _ => None,
     };
-    let (out, back) = compile_optimized(&ir, strategy, config, profile.as_ref())?;
+    let (out, back) = compile_optimized(
+        &ir,
+        &SourceMemo::new(&ir),
+        strategy,
+        config,
+        profile.as_ref(),
+    )?;
     timings.trial_compaction = back.trial_compaction;
     timings.partition = back.partition;
     timings.regalloc = back.regalloc;
@@ -350,20 +378,35 @@ pub fn compile_ir_timed(
     timings.final_pack = back.final_pack;
     timings.pack_parts = back.pack_parts;
     timings.link = back.link;
-    Ok((out, timings))
+    // The memo held the program only weakly: this is its one owner.
+    let program = Arc::try_unwrap(out.program).unwrap_or_else(|p| (*p).clone());
+    Ok((
+        CompileOutput {
+            program,
+            alloc: out.alloc,
+            ir,
+            strategy,
+        },
+        timings,
+    ))
 }
 
 /// Compile an **already optimized** IR program under one strategy.
 ///
 /// This is the back half of [`compile_ir_timed`]: callers that sweep
 /// several strategies over one program (notably `dsp-driver`) optimize
-/// and profile once, then call this per strategy — the results are
-/// bit-identical to running [`compile_ir`] per strategy, because the
-/// optimizer and profiler are deterministic and strategy-independent.
+/// and profile once, then call this per strategy with one
+/// [`SourceMemo`] for the program. The memo runs the trial compaction
+/// and register allocation at most once and shares one back end among
+/// strategies with equal [`BackendKey`]s; the results are
+/// bit-identical to running [`compile_ir`] per strategy, because every
+/// shared stage is deterministic and reads nothing that differs between
+/// the strategies sharing it.
 ///
-/// `profile` is required by [`Strategy::ProfileWeighted`] and
-/// [`Strategy::SelectiveDup`] and is computed on the fly (and timed)
-/// when absent; other strategies ignore it.
+/// `memo` must have been made for `ir`. `profile` is required by
+/// [`Strategy::ProfileWeighted`] and [`Strategy::SelectiveDup`] and is
+/// computed on the fly (and timed) when absent; other strategies ignore
+/// it. The returned timings hold only the stages this call ran.
 ///
 /// # Errors
 ///
@@ -371,14 +414,16 @@ pub fn compile_ir_timed(
 /// scheduling failures, or if the program lacks `main`.
 pub fn compile_optimized(
     ir: &Program,
+    memo: &SourceMemo,
     strategy: Strategy,
     config: CompileConfig,
     profile: Option<&ExecStats>,
-) -> Result<(CompileOutput, CompileTimings), CompileError> {
+) -> Result<(Compiled, CompileTimings), CompileError> {
     if ir.main.is_none() {
         return Err(CompileError::NoMain);
     }
     let mut timings = CompileTimings::default();
+    let mut reuse = Reuse::default();
     let local_profile;
     let profile = match strategy {
         Strategy::ProfileWeighted | Strategy::SelectiveDup => match profile {
@@ -393,54 +438,80 @@ pub fn compile_optimized(
         _ => None,
     };
 
-    let alloc_opts = |weights, duplication| AllocOptions {
-        weights,
-        duplication,
-        partitioner: config.partitioner,
+    let partitioning = match strategy {
+        Strategy::Baseline | Strategy::Ideal => None,
+        Strategy::CbPartition => Some((WeightKind::LoopDepth, DuplicationMode::None)),
+        Strategy::ProfileWeighted => Some((WeightKind::Profile, DuplicationMode::None)),
+        Strategy::PartialDup => Some((WeightKind::LoopDepth, DuplicationMode::Partial)),
+        Strategy::SelectiveDup => Some((WeightKind::Profile, DuplicationMode::Selective)),
+        Strategy::FullDup => Some((WeightKind::LoopDepth, DuplicationMode::Full)),
     };
-    let alloc = match strategy {
-        Strategy::Baseline | Strategy::Ideal => BankAllocation::all_in_x(ir),
-        Strategy::CbPartition => BankAllocation::compute(
-            ir,
-            &alloc_opts(WeightKind::LoopDepth, DuplicationMode::None),
-            None,
-        ),
-        Strategy::ProfileWeighted => BankAllocation::compute(
-            ir,
-            &alloc_opts(WeightKind::Profile, DuplicationMode::None),
-            profile,
-        ),
-        Strategy::PartialDup => BankAllocation::compute(
-            ir,
-            &alloc_opts(WeightKind::LoopDepth, DuplicationMode::Partial),
-            None,
-        ),
-        Strategy::SelectiveDup => BankAllocation::compute(
-            ir,
-            &alloc_opts(WeightKind::Profile, DuplicationMode::Selective),
-            profile,
-        ),
-        Strategy::FullDup => BankAllocation::compute(
-            ir,
-            &alloc_opts(WeightKind::LoopDepth, DuplicationMode::Full),
-            None,
-        ),
+    let alloc = match partitioning {
+        None => BankAllocation::all_in_x(ir),
+        Some((weights, duplication)) => {
+            let (trial, time, lookup) = memo.trial(ir);
+            if lookup == Lookup::Miss {
+                timings.trial_compaction = time;
+            }
+            reuse.trial = Some(lookup);
+            let options = AllocOptions {
+                weights,
+                duplication,
+                partitioner: config.partitioner,
+            };
+            let alloc = BankAllocation::compute(ir, trial, &options, profile);
+            timings.partition = alloc.timings.weighting + alloc.timings.partition;
+            alloc
+        }
     };
-    timings.trial_compaction = alloc.timings.trial_compaction;
-    timings.partition = alloc.timings.partition;
 
-    let data_layout = layout::DataLayout::compute(ir, &alloc);
     let ideal = strategy.dual_ported();
-    let mut linked_funcs = Vec::with_capacity(ir.funcs.len());
+    let key = BackendKey {
+        assignment: alloc.assignment_key(),
+        dual_ported: ideal,
+        interrupt_safe_dup: config.interrupt_safe_dup,
+    };
     let lir_opts = lirgen::LirGenOptions {
         interrupt_safe_dup: config.interrupt_safe_dup,
     };
+    let (program, backend) = memo.program(key, || {
+        back_end(ir, memo, &alloc, ideal, lir_opts, &mut timings, &mut reuse)
+    })?;
+    reuse.backend = Some(backend);
+    Ok((
+        Compiled {
+            program,
+            alloc,
+            strategy,
+            reuse,
+        },
+        timings,
+    ))
+}
+
+/// Lower, compact and link every function of `ir` under `alloc`, taking
+/// register assignments from `memo`.
+fn back_end(
+    ir: &Program,
+    memo: &SourceMemo,
+    alloc: &BankAllocation,
+    ideal: bool,
+    lir_opts: lirgen::LirGenOptions,
+    timings: &mut CompileTimings,
+    reuse: &mut Reuse,
+) -> Result<VliwProgram, CompileError> {
+    let data_layout = layout::DataLayout::compute(ir, alloc);
+    let mut linked_funcs = Vec::with_capacity(ir.funcs.len());
     for fi in 0..ir.funcs.len() {
         let func = FuncId(fi as u32);
-        let (lir, lir_times) =
-            lirgen::lower_function_timed(ir, func, &alloc, &data_layout, lir_opts)?;
-        timings.regalloc += lir_times.regalloc;
-        timings.lower += lir_times.lower;
+        let (asn, regalloc, lookup) = memo.assignment(ir, func);
+        reuse.regalloc = Some(reuse.regalloc.map_or(lookup, |r| r.merge(lookup)));
+        if lookup == Lookup::Miss {
+            timings.regalloc += regalloc;
+        }
+        let lower_start = std::time::Instant::now();
+        let lir = lirgen::lower_function_with(ir, func, alloc, &data_layout, asn?, lir_opts)?;
+        timings.lower += lower_start.elapsed();
         let pack_start = std::time::Instant::now();
         let mut blocks = Vec::with_capacity(lir.blocks.len());
         for ops in &lir.blocks {
@@ -461,13 +532,5 @@ pub fn compile_optimized(
     let program = link::link(ir, linked_funcs, &data_layout);
     timings.link = link_start.elapsed();
     debug_assert_eq!(program.validate(ideal), Ok(()), "linker emitted bad code");
-    Ok((
-        CompileOutput {
-            program,
-            alloc,
-            ir: ir.clone(),
-            strategy,
-        },
-        timings,
-    ))
+    Ok(program)
 }

@@ -61,7 +61,8 @@ pub struct LirGenOptions {
     pub interrupt_safe_dup: bool,
 }
 
-/// Lower one function.
+/// Lower one function, allocating its registers first
+/// ([`allocate_registers`]).
 ///
 /// # Errors
 ///
@@ -73,59 +74,45 @@ pub fn lower_function(
     alloc: &BankAllocation,
     layout: &DataLayout,
 ) -> Result<LirFunction, LirGenError> {
-    lower_function_with(program, func, alloc, layout, LirGenOptions::default())
+    let asn = allocate_registers(program.func(func))?;
+    lower_function_with(program, func, alloc, layout, &asn, LirGenOptions::default())
 }
 
-/// [`lower_function`] with explicit [`LirGenOptions`].
+/// Check `f`'s signature against the argument-register convention, then
+/// allocate its registers. The assignment reads only the IR, so one
+/// serves every bank allocation of the program.
 ///
 /// # Errors
 ///
-/// Returns [`LirGenError`] when a signature or call site exceeds the
+/// Returns [`LirGenError::TooManyArgs`] when the signature exceeds the
+/// convention; allocation is not attempted then.
+pub fn allocate_registers(f: &Function) -> Result<Assignment, LirGenError> {
+    check_arg_counts(f)?;
+    Ok(allocate(f))
+}
+
+/// Lower one function whose registers `asn` assigns (from
+/// [`allocate_registers`] of the same function).
+///
+/// # Errors
+///
+/// Returns [`LirGenError`] when a call site exceeds the
 /// argument-register convention.
 pub fn lower_function_with(
     program: &Program,
     func: FuncId,
     alloc: &BankAllocation,
     layout: &DataLayout,
+    asn: &Assignment,
     options: LirGenOptions,
 ) -> Result<LirFunction, LirGenError> {
-    lower_function_timed(program, func, alloc, layout, options).map(|(lir, _)| lir)
-}
-
-/// Wall times of the two phases of lowering one function.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LirGenTimings {
-    /// Register allocation ([`allocate`]).
-    pub regalloc: std::time::Duration,
-    /// Instruction selection and frame construction (everything else).
-    pub lower: std::time::Duration,
-}
-
-/// [`lower_function_with`], reporting per-phase wall times.
-///
-/// # Errors
-///
-/// Returns [`LirGenError`] when a signature or call site exceeds the
-/// argument-register convention.
-pub fn lower_function_timed(
-    program: &Program,
-    func: FuncId,
-    alloc: &BankAllocation,
-    layout: &DataLayout,
-    options: LirGenOptions,
-) -> Result<(LirFunction, LirGenTimings), LirGenError> {
-    let start = std::time::Instant::now();
     let f = program.func(func);
-    check_arg_counts(f)?;
-    let regalloc_start = std::time::Instant::now();
-    let asn = allocate(f);
-    let regalloc_time = regalloc_start.elapsed();
 
     // The save set: every allocatable register the body writes, the
     // homes of scalar and array parameters, and the spill scratches if
     // spilling happens at all.
     let mut saves: Vec<Reg> = Vec::new();
-    for (ty, r) in used_regs(f, &asn) {
+    for (ty, r) in used_regs(f, asn) {
         saves.push(match ty {
             Type::Int => Reg::Int(IReg(r)),
             Type::Float => Reg::Float(FReg(r)),
@@ -174,7 +161,7 @@ pub fn lower_function_timed(
         f,
         alloc,
         layout,
-        asn: &asn,
+        asn,
         frame: &frame,
         saves: &saves,
         options,
@@ -197,17 +184,12 @@ pub fn lower_function_timed(
     prologue.push(LirOp::Jump(f.entry));
     blocks.push(prologue);
 
-    let lir = LirFunction {
+    Ok(LirFunction {
         name: f.name.clone(),
         blocks,
         entry: prologue_id,
         frame,
-    };
-    let timings = LirGenTimings {
-        regalloc: regalloc_time,
-        lower: start.elapsed().saturating_sub(regalloc_time),
-    };
-    Ok((lir, timings))
+    })
 }
 
 /// The index of parameter `pi` among the *array* parameters.
@@ -895,7 +877,7 @@ mod tests {
     fn lower_main(src: &str, opts: &AllocOptions) -> (Program, LirFunction) {
         let mut p = compile_str(src).unwrap();
         crate::opt::optimize(&mut p);
-        let alloc = BankAllocation::compute(&p, opts, None);
+        let alloc = BankAllocation::compute(&p, &dsp_bankalloc::trial_conflicts(&p), opts, None);
         let layout = DataLayout::compute(&p, &alloc);
         let main = p.main.unwrap();
         let lir = lower_function(&p, main, &alloc, &layout).unwrap();
@@ -1047,7 +1029,12 @@ mod tests {
                    void main() { out = head(A, 2); }";
         let mut p = compile_str(src).unwrap();
         crate::opt::optimize(&mut p);
-        let alloc = BankAllocation::compute(&p, &AllocOptions::default(), None);
+        let alloc = BankAllocation::compute(
+            &p,
+            &dsp_bankalloc::trial_conflicts(&p),
+            &AllocOptions::default(),
+            None,
+        );
         let layout = DataLayout::compute(&p, &alloc);
         let lir = lower_function(&p, p.main.unwrap(), &alloc, &layout).unwrap();
         let call = all_ops(&lir)

@@ -12,8 +12,8 @@
 
 use dsp_backend::Strategy;
 use dsp_bankalloc::{
-    build_interference, fm_partition, greedy_partition, AliasClasses, AllocOptions, BankAllocation,
-    WeightKind, WeightMode,
+    build_interference, fm_partition, greedy_partition, trial_conflicts, AliasClasses,
+    AllocOptions, BankAllocation, WeightKind, WeightMode,
 };
 use dsp_bench::{gain_pct, measure_strategies, render_table};
 use dsp_sim::{SimOptions, Simulator};
@@ -28,7 +28,7 @@ fn uniform_cycles(ir: &dsp_ir::Program) -> u64 {
         weights: WeightKind::Uniform,
         ..AllocOptions::default()
     };
-    let alloc = BankAllocation::compute(&opt_ir, &opts, None);
+    let alloc = BankAllocation::compute(&opt_ir, &trial_conflicts(&opt_ir), &opts, None);
     let layout = dsp_backend::layout::DataLayout::compute(&opt_ir, &alloc);
     let mut funcs = Vec::new();
     for fi in 0..opt_ir.funcs.len() {

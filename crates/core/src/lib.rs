@@ -7,12 +7,15 @@
 //!
 //! 1. [`vars::AliasClasses`] groups variables that an array parameter
 //!    may alias, so each class is allocated as a unit;
-//! 2. [`builder::build_interference`] runs a *trial compaction* of every
-//!    basic block (all data pinned to one bank) and records, as weighted
-//!    edges of an [`graph::InterferenceGraph`], every pair of variables
-//!    whose accesses were data-compatible but fought over the single
-//!    memory unit — and marks variables accessed twice in one candidate
-//!    instruction for duplication;
+//! 2. [`builder::trial_conflicts`] runs a *trial compaction* of every
+//!    basic block (all data pinned to one bank) and records every pair
+//!    of memory operations that were data-compatible but fought over the
+//!    single memory unit; it does not depend on the configuration, so a
+//!    caller compiling several configurations runs it once.
+//!    [`builder::weigh_conflicts`] turns those pairs into weighted edges
+//!    of an [`graph::InterferenceGraph`] between the variables accessed
+//!    — and marks variables accessed twice in one candidate instruction
+//!    for duplication;
 //! 3. [`partition::greedy_partition`] splits the nodes across the X and
 //!    Y banks, minimizing the weight of unsatisfied edges;
 //! 4. [`BankAllocation`] packages the result for the back-end, including
@@ -22,7 +25,7 @@
 //! # Example
 //!
 //! ```
-//! use dsp_bankalloc::{AllocOptions, BankAllocation};
+//! use dsp_bankalloc::{trial_conflicts, AllocOptions, BankAllocation};
 //!
 //! let program = dsp_frontend::compile_str(
 //!     "float A[64]; float B[64]; float out;
@@ -32,7 +35,8 @@
 //!          out = acc;
 //!      }",
 //! )?;
-//! let alloc = BankAllocation::compute(&program, &AllocOptions::default(), None);
+//! let trial = trial_conflicts(&program);
+//! let alloc = BankAllocation::compute(&program, &trial, &AllocOptions::default(), None);
 //! // The FIR pattern forces A and B into different banks.
 //! let a = program.global_by_name("A").unwrap();
 //! let b = program.global_by_name("B").unwrap();
@@ -49,7 +53,10 @@ pub mod vars;
 
 use std::collections::{BTreeMap, BTreeSet};
 
-pub use builder::{build_interference, BuildResult, DupStats, WeightMode};
+pub use builder::{
+    build_interference, trial_conflicts, weigh_conflicts, BuildResult, DupStats, TrialConflicts,
+    WeightMode,
+};
 pub use cost::TradeOff;
 pub use gain::GainBuckets;
 pub use graph::InterferenceGraph;
@@ -166,13 +173,14 @@ pub struct AllocOptions {
     pub partitioner: PartitionerKind,
 }
 
-/// Wall times of the two phases of the data-allocation pass, for the
-/// pipeline telemetry of `dsp-driver`.
+/// Wall times of the per-configuration phases of the data-allocation
+/// pass, for the pipeline telemetry of `dsp-driver` (the trial
+/// compaction is timed by whoever runs [`trial_conflicts`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AllocTimings {
-    /// Trial compaction: per-block candidate scheduling that builds the
-    /// interference graph (phase 2 of the pass).
-    pub trial_compaction: std::time::Duration,
+    /// Weighting: the trial's conflicts turned into the interference
+    /// graph ([`weigh_conflicts`]).
+    pub weighting: std::time::Duration,
     /// Graph partitioning across the X/Y banks (phase 3).
     pub partition: std::time::Duration,
 }
@@ -199,7 +207,8 @@ pub struct BankAllocation {
 }
 
 impl BankAllocation {
-    /// Run the full data-allocation pass.
+    /// Run the data-allocation pass over the conflicts of one trial
+    /// compaction of `program` (from [`trial_conflicts`]).
     ///
     /// `profile` must be `Some` when `options.weights` is
     /// [`WeightKind::Profile`]; it is ignored otherwise.
@@ -210,6 +219,7 @@ impl BankAllocation {
     #[must_use]
     pub fn compute(
         program: &Program,
+        trial: &TrialConflicts,
         options: &AllocOptions,
         profile: Option<&ExecStats>,
     ) -> BankAllocation {
@@ -221,13 +231,13 @@ impl BankAllocation {
                 WeightMode::Profile(profile.expect("profile weights need ExecStats"))
             }
         };
-        let build_start = std::time::Instant::now();
+        let weigh_start = std::time::Instant::now();
         let BuildResult {
             mut graph,
             dup_candidates,
             dup_stats,
-        } = build_interference(program, &alias, mode);
-        let trial_compaction = build_start.elapsed();
+        } = weigh_conflicts(program, &alias, trial, mode);
+        let weighting = weigh_start.elapsed();
 
         // Only classes made entirely of globals (and parameter slots)
         // can be duplicated: both copies of a global live at the same
@@ -278,7 +288,7 @@ impl BankAllocation {
             partition_passes: part.passes,
             partition_moves: part.moves,
             timings: AllocTimings {
-                trial_compaction,
+                weighting,
                 partition,
             },
         }
@@ -345,6 +355,28 @@ impl BankAllocation {
         &self.duplicated
     }
 
+    /// Everything code generation reads of this allocation beyond the
+    /// alias classes: per class, in [`AliasClasses::classes`] order, `0`
+    /// for bank X, `1` for bank Y, `2` for duplicated. Two allocations of
+    /// one program with equal keys produce the same code.
+    #[must_use]
+    pub fn assignment_key(&self) -> Vec<u8> {
+        self.alias
+            .classes()
+            .into_iter()
+            .map(|c| {
+                if self.duplicated.contains(&c) {
+                    2
+                } else {
+                    match self.class_bank.get(&c).copied().unwrap_or(Bank::X) {
+                        Bank::X => 0,
+                        Bank::Y => 1,
+                    }
+                }
+            })
+            .collect()
+    }
+
     /// Number of variables assigned to each bank `(x, y)`, counting
     /// duplicated variables in both.
     #[must_use]
@@ -383,7 +415,8 @@ mod tests {
     #[test]
     fn fir_arrays_split_across_banks() {
         let p = compile_str(fir_src()).unwrap();
-        let alloc = BankAllocation::compute(&p, &AllocOptions::default(), None);
+        let alloc =
+            BankAllocation::compute(&p, &trial_conflicts(&p), &AllocOptions::default(), None);
         let a = p.global_by_name("A").unwrap();
         let b = p.global_by_name("B").unwrap();
         assert_ne!(alloc.bank_of_global(a), alloc.bank_of_global(b));
@@ -412,7 +445,7 @@ mod tests {
             duplication: DuplicationMode::Partial,
             ..AllocOptions::default()
         };
-        let alloc = BankAllocation::compute(&p, &opts, None);
+        let alloc = BankAllocation::compute(&p, &trial_conflicts(&p), &opts, None);
         let s = p.global_by_name("s").unwrap();
         assert!(alloc.is_duplicated_global(s));
         // R is not duplicated; it is partitioned normally.
@@ -430,7 +463,8 @@ mod tests {
                      for (n = 0; n < 8; n++) R[n] += s[n] * s[n + 3];
                    }";
         let p = compile_str(src).unwrap();
-        let alloc = BankAllocation::compute(&p, &AllocOptions::default(), None);
+        let alloc =
+            BankAllocation::compute(&p, &trial_conflicts(&p), &AllocOptions::default(), None);
         assert!(alloc.duplicated().is_empty());
     }
 
@@ -441,7 +475,7 @@ mod tests {
             duplication: DuplicationMode::Full,
             ..AllocOptions::default()
         };
-        let alloc = BankAllocation::compute(&p, &opts, None);
+        let alloc = BankAllocation::compute(&p, &trial_conflicts(&p), &opts, None);
         for name in ["A", "B", "out"] {
             let g = p.global_by_name(name).unwrap();
             assert!(alloc.is_duplicated_global(g), "{name} should be duplicated");
@@ -459,7 +493,7 @@ mod tests {
             weights: WeightKind::Profile,
             ..AllocOptions::default()
         };
-        let alloc = BankAllocation::compute(&p, &opts, Some(&stats));
+        let alloc = BankAllocation::compute(&p, &trial_conflicts(&p), &opts, Some(&stats));
         let a = p.global_by_name("A").unwrap();
         let b = p.global_by_name("B").unwrap();
         assert_ne!(alloc.bank_of_global(a), alloc.bank_of_global(b));
@@ -477,7 +511,8 @@ mod tests {
                      out = dot(A, B, 8) + dot(A, C, 8);
                    }";
         let p = compile_str(src).unwrap();
-        let alloc = BankAllocation::compute(&p, &AllocOptions::default(), None);
+        let alloc =
+            BankAllocation::compute(&p, &trial_conflicts(&p), &AllocOptions::default(), None);
         let a = p.global_by_name("A").unwrap();
         let b = p.global_by_name("B").unwrap();
         let c = p.global_by_name("C").unwrap();

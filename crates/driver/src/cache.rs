@@ -12,9 +12,16 @@
 //!   (`Pr`/`SelDup` only); one per source.
 //! * **reference** — the reference interpreter's final global values,
 //!   used for verification; one per source.
+//! * **memo** — the back end's strategy-independent products
+//!   ([`SourceMemo`]): the trial compaction (computed when the first
+//!   partitioning strategy asks, so a lone `Base` or `Ideal` compile
+//!   never pays for it), each function's register assignment, and one
+//!   linked program per distinct bank assignment, held weakly so the
+//!   memo never keeps a program the artifact layer has let go.
 //! * **artifact** — the fully compiled program (a distilled
-//!   [`CompileOutput`]), keyed on (source hash, [`CompileConfig`],
-//!   [`Strategy`]); a repeated sweep compiles each pair exactly once.
+//!   [`Compiled`]), keyed on (source hash, [`CompileConfig`],
+//!   [`Strategy`]); a repeated sweep compiles each pair exactly once,
+//!   and strategies whose bank assignments agree share one program.
 //!
 //! Below the in-memory artifact layer sits an optional **disk tier**
 //! ([`crate::store::DiskStore`]): an in-memory miss first tries to
@@ -50,8 +57,11 @@
 //! users of an evicted slot hold their own `Arc` and finish normally;
 //! a later request recomputes. A single entry larger than the byte
 //! budget stays resident (the cache never evicts below one entry).
-//! (The profile/reference sub-results ride inside their
-//! `PreparedSource` entry and are evicted with it.)
+//! (The profile/reference sub-results and the memo ride inside their
+//! `PreparedSource` entry and are evicted with it; the memo's trial
+//! pairs and register assignments are small next to the optimized IR
+//! and ride in its estimate, and its programs are counted where they
+//! are held, in the artifact layer.)
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -61,9 +71,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use dsp_backend::opt::PassTime;
+pub use dsp_backend::Lookup;
 use dsp_backend::{
-    compile_optimized, profile_ir, CompileConfig, CompileError, CompileOutput, CompileTimings,
-    Strategy,
+    compile_optimized, profile_ir, CompileConfig, CompileError, CompileTimings, Compiled, Reuse,
+    SourceMemo, Strategy,
 };
 use dsp_bankalloc::Var;
 use dsp_ir::{ExecStats, InterpError, Program};
@@ -194,8 +205,9 @@ impl CacheStats {
 /// Reference snapshot: final words of every global, by name.
 pub type ReferenceGlobals = Vec<(String, Vec<Word>)>;
 
-/// Strategy-independent front half of the pipeline for one source:
-/// parsed IR, optimized IR, and lazily computed profile/reference runs.
+/// Strategy-independent work for one source: parsed IR, optimized IR,
+/// lazily computed profile/reference runs, and the back end's
+/// once-per-source products ([`SourceMemo`]).
 pub struct PreparedSource {
     /// [`fnv1a`] of the source text.
     pub source_hash: u64,
@@ -210,6 +222,9 @@ pub struct PreparedSource {
     pub opt_time: Duration,
     /// Per-pass breakdown of `opt_time`.
     pub opt_passes: Vec<PassTime>,
+    /// The trial compaction, register assignments and compiled programs
+    /// shared by every strategy of this source.
+    pub memo: SourceMemo,
     profile: OnceLock<(Result<ExecStats, CompileError>, Duration)>,
     reference: OnceLock<(Result<ReferenceGlobals, InterpError>, Duration)>,
 }
@@ -219,13 +234,14 @@ pub struct PreparedSource {
 ///
 /// This is the cache's *durable* shape: exactly the fields a job needs
 /// after compilation (the linked program, the report scalars, and the
-/// back-half stage times), with the interference graph, allocation
-/// trace, and IR of the in-flight [`CompileOutput`] distilled away.
-/// That keeps resident entries small and makes the artifact
-/// serializable for the disk tier (see [`crate::store`]).
+/// back-half stage times), with the interference graph and allocation
+/// trace of the in-flight [`Compiled`] distilled away. That keeps
+/// resident entries small and makes the artifact serializable for the
+/// disk tier (see [`crate::store`]).
 pub struct CompiledArtifact {
-    /// The linked, executable program.
-    pub program: VliwProgram,
+    /// The linked, executable program, shared with the artifacts of the
+    /// source's other strategies that reached the same bank assignment.
+    pub program: Arc<VliwProgram>,
     /// Strategy this artifact was compiled under.
     pub strategy: Strategy,
     /// The partitioner's objective value (estimated serialized
@@ -241,19 +257,21 @@ pub struct CompiledArtifact {
     pub partition_passes: u64,
     /// Partitioner moves retained in the final bank assignment.
     pub partition_moves: u64,
-    /// Back-half stage times recorded when this artifact was built
-    /// (`opt`/`profile` are zero — those stages live in
-    /// [`PreparedSource`]).
+    /// Back-half stage times recorded when this artifact was built:
+    /// only the stages its compile ran (`opt`/`profile` are zero —
+    /// those stages live in [`PreparedSource`]).
     pub timings: CompileTimings,
+    /// Which shared products its compile computed, found or waited for.
+    /// Not persisted; all `None` when loaded from a disk store.
+    pub reuse: Reuse,
 }
 
 impl CompiledArtifact {
-    /// Distill a freshly compiled [`CompileOutput`] into the durable
-    /// artifact shape, computing the duplication footprint while the
-    /// allocation and IR are still at hand.
+    /// Distill a fresh compile of `ir` into the durable artifact shape,
+    /// computing the duplication footprint while the allocation is
+    /// still at hand.
     #[must_use]
-    pub fn from_output(output: CompileOutput, timings: CompileTimings) -> CompiledArtifact {
-        let ir = &output.ir;
+    pub fn new(output: Compiled, ir: &Program, timings: CompileTimings) -> CompiledArtifact {
         let duplicated_words = output
             .alloc
             .duplicated()
@@ -274,6 +292,7 @@ impl CompiledArtifact {
             partition_passes: u64::from(output.alloc.partition_passes),
             partition_moves: output.alloc.partition_moves,
             timings,
+            reuse: output.reuse,
         }
     }
 }
@@ -404,40 +423,6 @@ fn count(fresh: bool, hits: &AtomicU64, misses: &AtomicU64) {
         misses.fetch_add(1, Ordering::Relaxed);
     } else {
         hits.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// How a once-per-source lookup was answered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lookup {
-    /// The value was already there.
-    Hit,
-    /// This call computed it.
-    Miss,
-    /// Another job was computing it; this call blocked until it was
-    /// there.
-    Wait,
-}
-
-impl Lookup {
-    /// Classify one `get_or_init`: `fresh` when this call ran the
-    /// initializer, `filled` when the value was there before it.
-    fn of(fresh: bool, filled: bool) -> Lookup {
-        match (fresh, filled) {
-            (true, _) => Lookup::Miss,
-            (false, true) => Lookup::Hit,
-            (false, false) => Lookup::Wait,
-        }
-    }
-
-    /// `hit`, `miss` or `wait`.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Lookup::Hit => "hit",
-            Lookup::Miss => "miss",
-            Lookup::Wait => "wait",
-        }
     }
 }
 
@@ -640,8 +625,10 @@ impl ArtifactCache {
                 }
                 disk = Some(false);
             }
-            let compiled = compile_optimized(&prep.opt_ir, strategy, config, profile)
-                .map(|(output, timings)| Arc::new(CompiledArtifact::from_output(output, timings)));
+            let compiled = compile_optimized(&prep.opt_ir, &prep.memo, strategy, config, profile)
+                .map(|(output, timings)| {
+                    Arc::new(CompiledArtifact::new(output, &prep.opt_ir, timings))
+                });
             if let (Some(store), Ok(artifact)) = (&self.store, &compiled) {
                 // Write-behind: failures are counted in the store and
                 // never surface — errors (disk full, torn writes) only
@@ -735,6 +722,7 @@ fn prepare(source: &str, hash: u64) -> Result<Arc<PreparedSource>, CompileError>
     let opt_time = opt_start.elapsed();
     Ok(Arc::new(PreparedSource {
         source_hash: hash,
+        memo: SourceMemo::new(&opt_ir),
         ir,
         opt_ir,
         parse_time,

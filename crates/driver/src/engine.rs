@@ -639,8 +639,13 @@ pub fn run_job(
             },
         );
         if !cached && disk != Some(true) {
-            // A fresh compile: backfill its sub-stages end to end in
-            // pipeline order, anchored at this span's start.
+            let reuse = artifact.reuse;
+            if let Some(backend) = reuse.backend {
+                span.attr("backend", backend.label());
+            }
+            // A fresh compile: backfill the sub-stages it ran end to end
+            // in pipeline order, anchored at this span's start. Products
+            // it took from the source's memo ran in another cell.
             if let Some(anchor) = span.start_instant() {
                 let t = &artifact.timings;
                 let ctx = span.ctx();
@@ -654,14 +659,29 @@ pub fn run_job(
                     dsp_backend::PartitionerKind::Fm => "partition|fm",
                     dsp_backend::PartitionerKind::Exhaustive => "partition|exhaustive",
                 };
-                for (name, label, dur) in [
-                    ("trial_compaction", "trial_compaction", t.trial_compaction),
-                    ("partition", partition_label, t.partition),
-                    ("regalloc", "regalloc", t.regalloc),
-                    ("lower", "lower", t.lower),
-                    ("final_pack", "final_pack", t.final_pack),
-                    ("link", "link", t.link),
+                let ran = |lookup: Option<Lookup>| lookup == Some(Lookup::Miss);
+                let backend = ran(reuse.backend);
+                for (name, label, dur, ran) in [
+                    (
+                        "trial_compaction",
+                        "trial_compaction",
+                        t.trial_compaction,
+                        ran(reuse.trial),
+                    ),
+                    (
+                        "partition",
+                        partition_label,
+                        t.partition,
+                        reuse.trial.is_some(),
+                    ),
+                    ("regalloc", "regalloc", t.regalloc, ran(reuse.regalloc)),
+                    ("lower", "lower", t.lower, backend),
+                    ("final_pack", "final_pack", t.final_pack, backend),
+                    ("link", "link", t.link, backend),
                 ] {
+                    if !ran {
+                        continue;
+                    }
                     let stage = tracer.record_span(name, "stage", ctx, at, dur, Vec::new());
                     tracer.observe(families::STAGE, label, dur);
                     if name == "final_pack" {
@@ -1060,6 +1080,53 @@ mod tests {
             partition_count,
             "cache hits must not double-count stage durations"
         );
+    }
+
+    #[test]
+    fn fresh_artifacts_tag_the_back_end_and_span_only_the_stages_they_ran() {
+        let tracer = Tracer::new(8192);
+        let engine = Engine::new(EngineOptions {
+            jobs: 1,
+            tracer: Arc::clone(&tracer),
+            ..EngineOptions::default()
+        });
+        let bench = dsp_workloads::kernels::fir(8, 4);
+        engine
+            .run_matrix(std::slice::from_ref(&bench), &Strategy::ALL)
+            .unwrap();
+        let spans = tracer.snapshot(usize::MAX);
+        let named = |name: &'static str| spans.iter().filter(move |s| s.name == name);
+        let tag = |s: &dsp_trace::FinishedSpan, key: &str| {
+            s.attrs
+                .iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| v.clone())
+        };
+        let artifacts: Vec<_> = named("artifact").collect();
+        assert_eq!(artifacts.len(), Strategy::ALL.len());
+        let backends: Vec<String> = artifacts
+            .iter()
+            .map(|s| tag(s, "backend").expect("a fresh artifact tags its back end"))
+            .collect();
+        assert!(backends
+            .iter()
+            .all(|b| ["hit", "miss", "wait"].contains(&b.as_str())));
+        let built = backends.iter().filter(|b| *b == "miss").count();
+        assert!(built < Strategy::ALL.len(), "{backends:?}");
+        // Once per source, in the cell that computed them.
+        assert_eq!(named("trial_compaction").count(), 1);
+        assert_eq!(named("regalloc").count(), 1);
+        // Five partitioning strategies; one back end per distinct key.
+        assert_eq!(named("partition").count(), 5);
+        for stage in ["lower", "final_pack", "link"] {
+            assert_eq!(named(stage).count(), built, "{stage}");
+        }
+        for stage in ["lower", "final_pack", "link"] {
+            for s in named(stage) {
+                let parent = artifacts.iter().find(|a| a.span == s.parent).unwrap();
+                assert_eq!(tag(parent, "backend").as_deref(), Some("miss"));
+            }
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, SystemTime};
 
-use dsp_backend::{CompileTimings, Strategy};
+use dsp_backend::{CompileTimings, Reuse, Strategy};
 use dsp_machine::{
     decode_stream, encode_stream, Bank, DataImage, DataSymbol, InstAddr, Label, VliwFunction,
     VliwProgram, Word,
@@ -662,7 +662,7 @@ fn decode_payload(key: &ArtifactKey, bytes: &[u8]) -> Result<CompiledArtifact, S
         .get(key.strategy as usize)
         .ok_or_else(|| format!("bad strategy index {}", key.strategy))?;
     Ok(CompiledArtifact {
-        program: VliwProgram {
+        program: Arc::new(VliwProgram {
             insts,
             entry,
             x_image,
@@ -675,7 +675,7 @@ fn decode_payload(key: &ArtifactKey, bytes: &[u8]) -> Result<CompiledArtifact, S
             symbols,
             functions,
             labels,
-        },
+        }),
         strategy,
         partition_cost,
         duplicated_vars,
@@ -683,6 +683,7 @@ fn decode_payload(key: &ArtifactKey, bytes: &[u8]) -> Result<CompiledArtifact, S
         partition_passes,
         partition_moves,
         timings,
+        reuse: Reuse::default(),
     })
 }
 
@@ -1330,6 +1331,7 @@ mod tests {
             partition_passes: base.partition_passes,
             partition_moves: base.partition_moves,
             timings: base.timings.clone(),
+            reuse: base.reuse,
         }
     }
 

@@ -281,3 +281,148 @@ fn engine_reports_hits_on_repeated_run() {
         "repeat run compiles nothing new"
     );
 }
+
+/// Sweep every strategy of `source` under `config`, returning the
+/// artifacts in [`Strategy::ALL`] order.
+fn sweep_artifacts(
+    cache: &ArtifactCache,
+    source: &str,
+    config: CompileConfig,
+) -> Vec<std::sync::Arc<dsp_driver::CompiledArtifact>> {
+    let (prep, _) = cache.prepared(source).expect("prepare");
+    Strategy::ALL
+        .iter()
+        .map(|&strategy| {
+            let profile = matches!(strategy, Strategy::ProfileWeighted | Strategy::SelectiveDup)
+                .then(|| cache.profile(&prep).expect("profile").0);
+            cache
+                .artifact(&prep, strategy, config, profile)
+                .expect("compile")
+                .0
+        })
+        .collect()
+}
+
+fn count(
+    artifacts: &[std::sync::Arc<dsp_driver::CompiledArtifact>],
+    what: impl Fn(&dsp_backend::Reuse) -> Option<Lookup>,
+    lookup: Lookup,
+) -> usize {
+    artifacts
+        .iter()
+        .filter(|a| what(&a.reuse) == Some(lookup))
+        .count()
+}
+
+#[test]
+fn one_trial_and_one_regalloc_per_source_and_one_back_end_per_assignment() {
+    let cache = ArtifactCache::new();
+    let artifacts = sweep_artifacts(&cache, SRC_A, CompileConfig::default());
+    let (prep, _) = cache.prepared(SRC_A).unwrap();
+    // Five partitioning strategies, one trial compaction.
+    assert_eq!(count(&artifacts, |r| r.trial, Lookup::Miss), 1);
+    assert_eq!(count(&artifacts, |r| r.trial, Lookup::Hit), 4);
+    // Baseline and Ideal never ask for it.
+    assert_eq!(artifacts[0].reuse.trial, None);
+    assert_eq!(artifacts[6].reuse.trial, None);
+    // Register allocation runs in the first back end only.
+    assert_eq!(count(&artifacts, |r| r.regalloc, Lookup::Miss), 1);
+    // One back end per distinct key; equal keys share one program.
+    let built = count(&artifacts, |r| r.backend, Lookup::Miss);
+    assert_eq!(built, prep.memo.backend_keys());
+    assert!(built < Strategy::ALL.len(), "some strategies share a key");
+    let mut programs: Vec<*const dsp_machine::VliwProgram> = artifacts
+        .iter()
+        .map(|a| std::sync::Arc::as_ptr(&a.program))
+        .collect();
+    programs.sort_unstable();
+    programs.dedup();
+    assert_eq!(programs.len(), built);
+    assert_eq!(
+        cache.stats().artifact_misses,
+        7,
+        "the artifact layer is per strategy"
+    );
+
+    // Another configuration reuses the trial and the registers.
+    let safe = CompileConfig {
+        interrupt_safe_dup: true,
+        ..CompileConfig::default()
+    };
+    let again = sweep_artifacts(&cache, SRC_A, safe);
+    assert_eq!(count(&again, |r| r.trial, Lookup::Miss), 0);
+    assert_eq!(count(&again, |r| r.regalloc, Lookup::Miss), 0);
+}
+
+#[test]
+fn a_lone_base_or_ideal_compile_runs_no_trial() {
+    let cache = ArtifactCache::new();
+    let (prep, _) = cache.prepared(SRC_A).unwrap();
+    let cfg = CompileConfig::default();
+    for strategy in [Strategy::Baseline, Strategy::Ideal] {
+        let (artifact, _, _) = cache.artifact(&prep, strategy, cfg, None).unwrap();
+        assert_eq!(artifact.reuse.trial, None, "{strategy}");
+        assert!(artifact.timings.trial_compaction.is_zero());
+    }
+    let (cb, _, _) = cache
+        .artifact(&prep, Strategy::CbPartition, cfg, None)
+        .unwrap();
+    assert_eq!(cb.reuse.trial, Some(Lookup::Miss));
+}
+
+#[test]
+fn evicted_artifacts_leave_no_program_pinned_by_the_memo() {
+    // A byte budget that holds one artifact: each compile evicts the
+    // previous one, and with it the last strong reference to its
+    // program — the source's memo keeps only a weak one.
+    let cache = ArtifactCache::with_limits(None, Some(1));
+    let (prep, _) = cache.prepared(SRC_A).unwrap();
+    let cfg = CompileConfig::default();
+    let (base, _, _) = cache
+        .artifact(&prep, Strategy::Baseline, cfg, None)
+        .unwrap();
+    let base_program = std::sync::Arc::downgrade(&base.program);
+    drop(base);
+    let (cb, _, _) = cache
+        .artifact(&prep, Strategy::CbPartition, cfg, None)
+        .unwrap();
+    assert_eq!(cb.reuse.backend, Some(Lookup::Miss), "FIR splits A and B");
+    assert_eq!(cache.stats().artifact_evictions, 1);
+    assert!(
+        base_program.upgrade().is_none(),
+        "an evicted artifact's program must be freed"
+    );
+    // Asked again, the baseline is rebuilt rather than revived.
+    let (base, _, _) = cache
+        .artifact(&prep, Strategy::Baseline, cfg, None)
+        .unwrap();
+    assert_eq!(base.reuse.backend, Some(Lookup::Miss));
+    assert_eq!(base.reuse.regalloc, Some(Lookup::Hit));
+}
+
+#[test]
+fn concurrent_back_ends_with_one_key_build_once() {
+    let cache = ArtifactCache::new();
+    let (prep, _) = cache.prepared(SRC_A).unwrap();
+    let cfg = CompileConfig::default();
+    let (base, _, _) = cache
+        .artifact(&prep, Strategy::Baseline, cfg, None)
+        .unwrap();
+    let program = (*base.program).clone();
+    drop(base);
+    // Keep every returned program alive so a late caller finds it.
+    let held = std::sync::Mutex::new(Vec::new());
+    let key = dsp_backend::BackendKey {
+        assignment: vec![9],
+        dual_ported: false,
+        interrupt_safe_dup: false,
+    };
+    assert_one_miss_under_contention("backend", || {
+        let (p, lookup) = prep
+            .memo
+            .program(key.clone(), || Ok::<_, ()>(program.clone()))
+            .unwrap();
+        held.lock().unwrap().push(p);
+        lookup
+    });
+}

@@ -234,7 +234,7 @@ fn a_crafted_layout_with_a_valid_crc_ends_its_job_in_an_error() {
         assert!(entries.next().is_none());
         let path = dir.join(name);
         let mut artifact = decode_entry(&key, &std::fs::read(&path).unwrap()).unwrap();
-        craft(&mut artifact.program);
+        craft(std::sync::Arc::make_mut(&mut artifact.program));
         std::fs::write(&path, encode_entry(&key, &artifact)).unwrap();
 
         let eng = Engine::new(EngineOptions {

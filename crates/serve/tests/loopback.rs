@@ -38,6 +38,26 @@ void main() {
       x = x + 1;
 }";
 
+/// A program whose simulation takes long next to compiling it (3 million
+/// cycles under every strategy), but ends: a sweep of it stays in flight
+/// for a while however fast the compiler is.
+const LONG_SRC: &str = "
+int x;
+void main() {
+  int i; int j;
+  for (i = 0; i < 1000; i++)
+    for (j = 0; j < 1000; j++)
+      x = x + j;
+}";
+
+/// The value of the unlabelled sample `name` in a `/metrics` text.
+fn metric(text: &str, name: &str) -> Option<u64> {
+    let head = format!("{name} ");
+    text.lines()
+        .find_map(|l| l.strip_prefix(&head))
+        .and_then(|v| v.trim().parse().ok())
+}
+
 struct TestServer {
     addr: SocketAddr,
     handle: ServerHandle,
@@ -533,9 +553,9 @@ fn stop_still_answers_a_queued_connection_whose_request_arrives_after_it() {
 
 #[test]
 fn interactive_compile_overtakes_an_in_flight_sweep() {
-    // One executor thread, so the full 161-cell sweep keeps the pool
-    // busy for a while (a one-strategy sweep of 23 cells can finish
-    // within the 300 ms below). A /compile submitted mid-sweep is
+    // One executor thread, and a sweep of a program whose cells each
+    // simulate 3 million cycles, so the sweep keeps the pool busy
+    // however fast the compiler is. A /compile submitted mid-sweep is
     // Interactive: it waits only on the one running cell, not the whole
     // queue, so it must complete while the sweep is still streaming.
     let server = TestServer::start(ServerConfig {
@@ -547,14 +567,34 @@ fn interactive_compile_overtakes_an_in_flight_sweep() {
         ..ServerConfig::default()
     });
     let addr = server.addr;
+    let body = format!("{{\"source\": {}}}", json::escape(LONG_SRC));
     let sweep = std::thread::spawn(move || {
         let mut conn = ClientConn::connect(addr, Duration::from_secs(300)).expect("connect");
-        conn.request("POST", "/sweep", Some("{\"bench\": \"all\"}"))
+        conn.request("POST", "/sweep", Some(&body))
     });
-    // Give the sweep time to submit its matrix and start running.
-    std::thread::sleep(Duration::from_millis(300));
-
+    // Wait until the sweep's batch cells are running: one on the
+    // executor thread, the rest queued behind it.
     let mut conn = server.connect();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let text = conn
+            .request("GET", "/metrics", None)
+            .expect("metrics")
+            .text();
+        let queued = text
+            .lines()
+            .find_map(|l| l.strip_prefix("dsp_serve_exec_queue_depth{priority=\"batch\"} "))
+            .and_then(|v| v.trim().parse::<u64>().ok());
+        if metric(&text, "dsp_serve_exec_busy") == Some(1) && queued.is_some_and(|q| q > 0) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the sweep's cells never started:\n{text}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
     let resp = conn
         .request("POST", "/compile", Some(&compile_body(FIR_SRC, "cb")))
         .expect("request");
@@ -581,7 +621,7 @@ fn interactive_compile_overtakes_an_in_flight_sweep() {
         doc.get("jobs")
             .and_then(Value::as_array)
             .map(<[Value]>::len),
-        Some(161)
+        Some(Strategy::ALL.len())
     );
     server.stop();
 }
@@ -620,12 +660,6 @@ fn client_disconnect_mid_sweep_cancels_queued_cells_and_frees_the_worker() {
     assert!(n > 0, "sweep never started streaming");
     drop(victim);
 
-    fn metric(text: &str, name: &str) -> Option<u64> {
-        let head = format!("{name} ");
-        text.lines()
-            .find_map(|l| l.strip_prefix(&head))
-            .and_then(|v| v.trim().parse().ok())
-    }
     let mut conn = server.connect();
     let (mut cancelled, mut busy) = (0, u64::MAX);
     for _ in 0..300 {
@@ -679,7 +713,7 @@ fn trickled_request_bytes_hit_the_read_deadline_with_a_408() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("read timeout");
 
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let writer = std::thread::spawn(move || {
         let mut slow = slow;
         if slow

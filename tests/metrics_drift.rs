@@ -10,13 +10,17 @@
 //! Live families come from real processes: one `dualbank serve` (with
 //! a `--cache-dir` so the disk-cache families are live, and default
 //! tracing so the histogram families are live), one `dualbank router`
-//! fronting it, and one `dualbank chaos` proxy. Documented families
-//! are every `dsp_[a-z0-9_]*` token in docs/observability.md,
+//! fronting it, and one `dualbank chaos` proxy. Written families come
+//! from the source: every `dsp_*` name the serve, router, chaos and
+//! trace crates hand to the `dsp_trace::expo` writers, so a family no
+//! scrape here makes live still cannot drift. Documented families are
+//! every `dsp_[a-z0-9_]*` token in docs/observability.md,
 //! docs/serving.md, and docs/chaos.md.
 
 mod common;
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
 use std::time::Duration;
 
 use common::{scrape, spawn_chaos, spawn_router, Node};
@@ -31,6 +35,45 @@ fn live_families(exposition: &str) -> BTreeSet<String> {
         .filter(|name| name.starts_with("dsp_"))
         .map(str::to_string)
         .collect()
+}
+
+/// Family names the exposition writers are handed in the non-test code
+/// of `crates/{serve,router,chaos,trace}/src`: every string literal that
+/// is exactly `"dsp_[a-z0-9_]+"` (the writers take names as literals,
+/// directly or through a local or a table row; sample lines and
+/// prefixes in tests carry spaces, braces or live after `#[cfg(test)]`).
+fn written_families(root: &Path) -> BTreeSet<String> {
+    fn sources(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                sources(&path, out);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    for krate in ["serve", "router", "chaos", "trace"] {
+        sources(&root.join("crates").join(krate).join("src"), &mut files);
+    }
+    let mut names = BTreeSet::new();
+    for file in files {
+        let text = std::fs::read_to_string(&file).expect("read source");
+        let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+        for literal in code.split('"').skip(1).step_by(2) {
+            let is_name = literal.strip_prefix("dsp_").is_some_and(|rest| {
+                !rest.is_empty()
+                    && rest
+                        .bytes()
+                        .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+            });
+            if is_name {
+                names.insert(literal.to_string());
+            }
+        }
+    }
+    names
 }
 
 /// Structural checks on one scrape, named `node` in failures.
@@ -175,7 +218,16 @@ fn docs_and_live_metrics_agree_on_every_family_name() {
         "no dsp_serve_ families scraped — did the replica come up?"
     );
 
-    let docs_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("docs");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let written = written_families(root);
+    for family in ["dsp_serve_up", "dsp_router_up", "dsp_chaos_up"] {
+        assert!(written.contains(family), "source scan missed {family}");
+    }
+    // Families the writers render only in states no scrape here reaches
+    // count as exported too.
+    let live: BTreeSet<String> = live.union(&written).cloned().collect();
+
+    let docs_root = root.join("docs");
     let mut documented = BTreeSet::new();
     for doc in ["observability.md", "serving.md", "chaos.md"] {
         let text = std::fs::read_to_string(docs_root.join(doc))
@@ -191,7 +243,7 @@ fn docs_and_live_metrics_agree_on_every_family_name() {
         .collect();
     assert!(
         undocumented.is_empty(),
-        "live metric families missing from docs/{{observability,serving,chaos}}.md: {undocumented:?}"
+        "live or written metric families missing from docs/{{observability,serving,chaos}}.md: {undocumented:?}"
     );
 
     // Direction 2: every documented dsp_serve_/dsp_router_/dsp_chaos_
@@ -214,6 +266,6 @@ fn docs_and_live_metrics_agree_on_every_family_name() {
         .collect();
     assert!(
         stale.is_empty(),
-        "docs name dsp_* families no live process exports (renamed or removed?): {stale:?}"
+        "docs name dsp_* families no live process exports and no writer names (renamed or removed?): {stale:?}"
     );
 }
