@@ -2,7 +2,9 @@
 //! repository root records a parent and a change run of the repository
 //! benchmark; wall times may differ between them, the work done may
 //! not. The newest entry must show the suite's pinned cycle total on
-//! both sides and the same partition moves and cache misses on each.
+//! both sides, the same gen-cold cycle total on each (so a changed
+//! schedule of unseen programs fails), and the same partition moves
+//! and cache misses on each.
 
 use std::path::{Path, PathBuf};
 
@@ -85,6 +87,9 @@ fn newest_ledger_entry_shows_equal_work_on_both_sides() {
             );
         }
     }
+    let [parent, change] = sides.map(|(_, side)| metric(side, "gen-cold", "sim.cycles"));
+    assert!(parent.is_some(), "{path}: parent gen-cold lacks sim.cycles");
+    assert_eq!(parent, change, "{path}: gen-cold sim.cycles");
     let Some(Value::Object(workloads)) = sides[0].1.get("result").and_then(|r| r.get("per_layer"))
     else {
         panic!("{path}: the parent run has no per-layer results");

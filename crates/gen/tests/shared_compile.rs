@@ -102,3 +102,34 @@ fn memoized_compiles_equal_fresh_compiles_on_generated_programs() {
         "some generated strategies share a bank assignment"
     );
 }
+
+/// A program holding a NaN float immediate equals itself: two compiles
+/// of the generated program that first showed it give equal programs.
+#[test]
+fn a_program_with_a_nan_immediate_equals_its_recompile() {
+    let ir = optimized(&generate_source(
+        0xd0ed_9dd7_be5c_faa0,
+        &GenConfig::default(),
+    ));
+    let compile = || {
+        let memo = SourceMemo::new(&ir);
+        compile_optimized(
+            &ir,
+            &memo,
+            Strategy::Baseline,
+            CompileConfig::default(),
+            None,
+        )
+        .expect("program compiles")
+        .0
+        .program
+    };
+    let first = compile();
+    let has_nan = first.insts.iter().any(|inst| {
+        [inst.fpu0, inst.fpu1]
+            .into_iter()
+            .any(|op| matches!(op, Some(dsp_machine::FpOp::MovImm { imm, .. }) if imm.is_nan()))
+    });
+    assert!(has_nan, "the program holds a NaN immediate");
+    assert_eq!(first, compile());
+}

@@ -517,7 +517,11 @@ impl std::fmt::Display for FpBinKind {
 }
 
 /// An operation executed by a floating-point unit.
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// Equality compares [`FpOp::MovImm`] immediates by their bits, as the
+/// encoding does: an operation holding a NaN immediate equals itself,
+/// and `0.0` differs from `-0.0`.
+#[derive(Debug, Clone, Copy)]
 pub enum FpOp {
     /// `dst = lhs <kind> rhs`.
     Bin {
@@ -587,6 +591,53 @@ pub enum FpOp {
         src: FReg,
     },
 }
+
+impl PartialEq for FpOp {
+    fn eq(&self, other: &FpOp) -> bool {
+        use FpOp::{Bin, Cmp, CvtFtoI, CvtItoF, Mac, Mov, MovImm, Neg};
+        match (*self, *other) {
+            (
+                Bin {
+                    kind,
+                    dst,
+                    lhs,
+                    rhs,
+                },
+                Bin {
+                    kind: k,
+                    dst: d,
+                    lhs: l,
+                    rhs: r,
+                },
+            ) => (kind, dst, lhs, rhs) == (k, d, l, r),
+            (Mac { dst, a, b }, Mac { dst: d, a: x, b: y }) => (dst, a, b) == (d, x, y),
+            (
+                Cmp {
+                    kind,
+                    dst,
+                    lhs,
+                    rhs,
+                },
+                Cmp {
+                    kind: k,
+                    dst: d,
+                    lhs: l,
+                    rhs: r,
+                },
+            ) => (kind, dst, lhs, rhs) == (k, d, l, r),
+            (MovImm { dst, imm }, MovImm { dst: d, imm: i }) => {
+                dst == d && imm.to_bits() == i.to_bits()
+            }
+            (Mov { dst, src }, Mov { dst: d, src: s })
+            | (Neg { dst, src }, Neg { dst: d, src: s }) => (dst, src) == (d, s),
+            (CvtItoF { dst, src }, CvtItoF { dst: d, src: s }) => (dst, src) == (d, s),
+            (CvtFtoI { dst, src }, CvtFtoI { dst: d, src: s }) => (dst, src) == (d, s),
+            _ => false,
+        }
+    }
+}
+
+impl Eq for FpOp {}
 
 impl std::fmt::Display for FpOp {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -660,7 +711,7 @@ impl std::fmt::Display for PcuOp {
 /// Reads happen before writes within a cycle, so an operation may read a
 /// register that a parallel operation overwrites (this is what lets the
 /// compaction pass schedule anti-dependent operations together).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VliwInst {
     /// Program-control slot.
     pub pcu: Option<PcuOp>,
@@ -790,6 +841,33 @@ mod tests {
             addr: MemAddr::Absolute(0),
             bank,
         }
+    }
+
+    #[test]
+    fn fp_immediates_compare_by_bits() {
+        let movi = |imm: f32| FpOp::MovImm { dst: FReg(1), imm };
+        assert_eq!(movi(f32::NAN), movi(f32::NAN));
+        assert_ne!(movi(0.0), movi(-0.0));
+        assert_ne!(
+            movi(1.0),
+            FpOp::MovImm {
+                dst: FReg(2),
+                imm: 1.0
+            }
+        );
+        let mov = FpOp::Mov {
+            dst: FReg(1),
+            src: FReg(2),
+        };
+        let neg = FpOp::Neg {
+            dst: FReg(1),
+            src: FReg(2),
+        };
+        assert_eq!(mov, mov);
+        assert_ne!(mov, neg);
+        let mut inst = VliwInst::new();
+        inst.fpu0 = Some(movi(f32::NAN));
+        assert_eq!(inst, inst);
     }
 
     #[test]

@@ -100,7 +100,7 @@ impl DataImage {
 }
 
 /// A fully linked program for the dual-bank VLIW DSP.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VliwProgram {
     /// The instruction stream; one instruction per cycle.
     pub insts: Vec<VliwInst>,
