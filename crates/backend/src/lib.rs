@@ -183,9 +183,6 @@ pub enum CompileError {
     Frontend(dsp_frontend::FrontendError),
     /// Code generation failure.
     LirGen(lirgen::LirGenError),
-    /// Scheduling failure (dependence cycle — indicates an internal
-    /// bug).
-    Schedule(dsp_sched::CompactError),
     /// The profiling run for [`Strategy::ProfileWeighted`] failed.
     Profile(InterpError),
 }
@@ -196,7 +193,6 @@ impl std::fmt::Display for CompileError {
             CompileError::NoMain => write!(f, "program has no main function"),
             CompileError::Frontend(e) => write!(f, "{e}"),
             CompileError::LirGen(e) => write!(f, "{e}"),
-            CompileError::Schedule(e) => write!(f, "{e}"),
             CompileError::Profile(e) => write!(f, "profiling run failed: {e}"),
         }
     }
@@ -216,18 +212,12 @@ impl From<lirgen::LirGenError> for CompileError {
     }
 }
 
-impl From<dsp_sched::CompactError> for CompileError {
-    fn from(e: dsp_sched::CompactError) -> CompileError {
-        CompileError::Schedule(e)
-    }
-}
-
 /// Compile DSP-C source text.
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] for front-end, allocation, code
-/// generation, or scheduling failures.
+/// Returns a [`CompileError`] for front-end, allocation or code
+/// generation failures.
 pub fn compile_source(src: &str, strategy: Strategy) -> Result<CompileOutput, CompileError> {
     let program = dsp_frontend::compile_str(src)?;
     compile_ir(&program, strategy)
@@ -251,8 +241,8 @@ pub struct CompileConfig {
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] for allocation, code generation, or
-/// scheduling failures, or if the program lacks `main`.
+/// Returns a [`CompileError`] for allocation or code generation
+/// failures, or if the program lacks `main`.
 pub fn compile_ir(program: &Program, strategy: Strategy) -> Result<CompileOutput, CompileError> {
     compile_ir_with(program, strategy, CompileConfig::default())
 }
@@ -261,8 +251,8 @@ pub fn compile_ir(program: &Program, strategy: Strategy) -> Result<CompileOutput
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] for allocation, code generation, or
-/// scheduling failures, or if the program lacks `main`.
+/// Returns a [`CompileError`] for allocation or code generation
+/// failures, or if the program lacks `main`.
 pub fn compile_ir_with(
     program: &Program,
     strategy: Strategy,
@@ -337,8 +327,8 @@ pub fn profile_ir(ir: &Program) -> Result<ExecStats, CompileError> {
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] for allocation, code generation, or
-/// scheduling failures, or if the program lacks `main`.
+/// Returns a [`CompileError`] for allocation or code generation
+/// failures, or if the program lacks `main`.
 pub fn compile_ir_timed(
     program: &Program,
     strategy: Strategy,
@@ -410,8 +400,8 @@ pub fn compile_ir_timed(
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] for allocation, code generation, or
-/// scheduling failures, or if the program lacks `main`.
+/// Returns a [`CompileError`] for allocation or code generation
+/// failures, or if the program lacks `main`.
 pub fn compile_optimized(
     ir: &Program,
     memo: &SourceMemo,
@@ -501,6 +491,7 @@ fn back_end(
     reuse: &mut Reuse,
 ) -> Result<VliwProgram, CompileError> {
     let data_layout = layout::DataLayout::compute(ir, alloc);
+    let mut scratch = dsp_sched::Scratch::new();
     let mut linked_funcs = Vec::with_capacity(ir.funcs.len());
     for fi in 0..ir.funcs.len() {
         let func = FuncId(fi as u32);
@@ -513,14 +504,11 @@ fn back_end(
         let lir = lirgen::lower_function_with(ir, func, alloc, &data_layout, asn?, lir_opts)?;
         timings.lower += lower_start.elapsed();
         let pack_start = std::time::Instant::now();
-        let mut blocks = Vec::with_capacity(lir.blocks.len());
-        for ops in &lir.blocks {
-            blocks.push(schedule::schedule_block(
-                ops,
-                ideal,
-                &mut timings.pack_parts,
-            )?);
-        }
+        let blocks = lir
+            .blocks
+            .iter()
+            .map(|ops| schedule::schedule_block(ops, ideal, &mut scratch, &mut timings.pack_parts))
+            .collect();
         timings.final_pack += pack_start.elapsed();
         linked_funcs.push(link::LinkFunction {
             name: lir.name.clone(),

@@ -31,6 +31,7 @@ fn uniform_cycles(ir: &dsp_ir::Program) -> u64 {
     let alloc = BankAllocation::compute(&opt_ir, &trial_conflicts(&opt_ir), &opts, None);
     let layout = dsp_backend::layout::DataLayout::compute(&opt_ir, &alloc);
     let mut funcs = Vec::new();
+    let mut scratch = dsp_sched::Scratch::new();
     for fi in 0..opt_ir.funcs.len() {
         let lir = dsp_backend::lirgen::lower_function(
             &opt_ir,
@@ -39,13 +40,12 @@ fn uniform_cycles(ir: &dsp_ir::Program) -> u64 {
             &layout,
         )
         .expect("lowers");
-        let mut blocks = Vec::new();
         let mut times = dsp_backend::schedule::PackTimes::default();
-        for ops in &lir.blocks {
-            blocks.push(
-                dsp_backend::schedule::schedule_block(ops, false, &mut times).expect("schedules"),
-            );
-        }
+        let blocks = lir
+            .blocks
+            .iter()
+            .map(|ops| dsp_backend::schedule::schedule_block(ops, false, &mut scratch, &mut times))
+            .collect();
         funcs.push(dsp_backend::link::LinkFunction {
             name: lir.name.clone(),
             blocks,

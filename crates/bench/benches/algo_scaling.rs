@@ -19,7 +19,7 @@ use dsp_bankalloc::{
     fm_partition, greedy_partition, naive_greedy_partition, InterferenceGraph, Var,
 };
 use dsp_ir::GlobalId;
-use dsp_sched::{compact_ir_block, MemClaim};
+use dsp_sched::{ir_claims, MemClaim, Scratch};
 
 /// A synthetic straight-line block: `n` interleaved loads and adds over
 /// `vars` distinct arrays.
@@ -114,13 +114,22 @@ fn main() {
     println!("algo_scaling — medians of 20 batches\n");
 
     println!("compaction (block size n, 8 arrays)");
+    println!("  {:>8} {:>12} {:>12}", "n", "new scratch", "reused");
+    let mut reused = Scratch::new();
     for &n in &[16usize, 64, 256, 1024] {
         let (ops, claims) = synthetic_block(n, 8);
         let (samples, iters) = if n >= 1024 { (5, 5) } else { (20, 50) };
-        let t = time_median(samples, iters, || {
-            compact_ir_block(&ops, &claims, None).expect("schedules");
+        let schedule = |scratch: &mut Scratch| {
+            let claims = ir_claims(&ops, claims.iter().copied());
+            scratch.schedule(&ops, claims, None).len()
+        };
+        let fresh = time_median(samples, iters, || {
+            schedule(&mut Scratch::new());
         });
-        println!("  n = {n:>4}  {}", human(t));
+        let warm = time_median(samples, iters, || {
+            schedule(&mut reused);
+        });
+        println!("  {:>8} {:>12} {:>12}", n, human(fresh), human(warm));
     }
 
     println!("partitioners (bounded-degree graphs, avg degree ~12)");

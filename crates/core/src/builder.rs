@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 
 use dsp_ir::{ExecStats, FuncId, LoopInfo, Program};
 use dsp_machine::Bank;
-use dsp_sched::{compact_ir_block, MemClaim};
+use dsp_sched::{ir_claims, MemClaim, Scratch};
 
 use crate::graph::InterferenceGraph;
 use crate::vars::{AliasClasses, Var};
@@ -96,28 +96,22 @@ pub struct TrialConflicts {
 }
 
 /// Run the trial compaction of every block of `program` with all data
-/// pinned to bank X, recording each block's conflicts.
-///
-/// # Panics
-///
-/// Panics if a basic block's dependence graph is cyclic, which
-/// [`dsp_ir::Program::validate`]d programs cannot produce.
+/// pinned to bank X, recording each block's conflicts. One scheduler
+/// scratch serves every block.
 #[must_use]
 pub fn trial_conflicts(program: &Program) -> TrialConflicts {
     let mut blocks = Vec::with_capacity(program.funcs.len());
     let mut pairs = Vec::new();
+    let mut scratch = Scratch::new();
     for f in &program.funcs {
         let loops = LoopInfo::compute(f);
         let mut func_blocks = Vec::with_capacity(f.blocks.len());
         for (bi, block) in f.iter_blocks() {
             let start = pairs.len();
-            let mem_count = block.ops.iter().filter(|o| o.is_mem()).count();
             // With fewer than two memory ops there is no pair to find.
-            if mem_count >= 2 {
-                let claims = vec![MemClaim::Fixed(Bank::X); mem_count];
+            if block.ops.iter().filter(|o| o.is_mem()).nth(1).is_some() {
                 let mut observer = |i: usize, j: usize| pairs.push((i as u32, j as u32));
-                compact_ir_block(&block.ops, &claims, Some(&mut observer))
-                    .expect("validated blocks have acyclic dependence graphs");
+                scratch.schedule(&block.ops, all_in_x(&block.ops), Some(&mut observer));
             }
             func_blocks.push(BlockTrial {
                 depth: loops.depth_of(bi),
@@ -129,13 +123,14 @@ pub fn trial_conflicts(program: &Program) -> TrialConflicts {
     TrialConflicts { blocks, pairs }
 }
 
+/// The trial claims of a block's operations: every memory operation on
+/// bank X's unit.
+fn all_in_x(ops: &[dsp_ir::ops::Op]) -> impl Iterator<Item = dsp_sched::OpClaim> + '_ {
+    ir_claims(ops, std::iter::repeat(MemClaim::Fixed(Bank::X)))
+}
+
 /// Build the interference graph of `program`: [`trial_conflicts`]
 /// followed by [`weigh_conflicts`].
-///
-/// # Panics
-///
-/// Panics if a basic block's dependence graph is cyclic, which
-/// [`dsp_ir::Program::validate`]d programs cannot produce.
 #[must_use]
 pub fn build_interference(
     program: &Program,
@@ -247,11 +242,6 @@ fn class_of_op(alias: &AliasClasses, func: FuncId, op: &dsp_ir::ops::Op) -> Var 
 /// shared: one trial schedule per call, skipping weight-0 blocks. Kept as
 /// the executable specification of [`trial_conflicts`] +
 /// [`weigh_conflicts`].
-///
-/// # Panics
-///
-/// Panics if a basic block's dependence graph is cyclic, which
-/// [`dsp_ir::Program::validate`]d programs cannot produce.
 fn build_interference_per_mode(
     program: &Program,
     alias: &AliasClasses,
@@ -293,7 +283,6 @@ fn build_interference_per_mode(
             if mem_count < 2 {
                 continue; // no chance of a memory pair
             }
-            let claims = vec![MemClaim::Fixed(Bank::X); mem_count];
             let mut observer = |i: usize, j: usize| {
                 let a = class_of_op(alias, func, &ops[i]);
                 let b = class_of_op(alias, func, &ops[j]);
@@ -319,8 +308,7 @@ fn build_interference_per_mode(
                     }
                 }
             };
-            compact_ir_block(ops, &claims, Some(&mut observer))
-                .expect("validated blocks have acyclic dependence graphs");
+            Scratch::new().schedule(ops, all_in_x(ops), Some(&mut observer));
         }
     }
     for (class, stats) in &mut dup_stats {

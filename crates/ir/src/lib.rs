@@ -14,8 +14,8 @@
 //!
 //! * [`cfg`] — control-flow graph, dominator tree, and natural-loop
 //!   nesting depth (the default interference-edge weight heuristic);
-//! * [`depgraph`] — per-basic-block data-dependence graphs with flow,
-//!   anti and output edges over registers and memory;
+//! * [`depgraph`] — the flow, anti, output and control edges of
+//!   per-basic-block data-dependence graphs, and the memory-overlap test;
 //! * [`interp`] — a reference interpreter used as the semantic oracle for
 //!   the whole compiler: whatever the VLIW pipeline produces must compute
 //!   the same values the interpreter does.
@@ -47,7 +47,7 @@ pub mod interp;
 pub mod ops;
 
 pub use cfg::{Cfg, LoopInfo, NaturalLoop};
-pub use depgraph::{DepEdge, DepGraph, DepKind};
+pub use depgraph::{DepEdge, DepKind};
 pub use func::{Block, Function, Global, LocalArray, Param, ParamKind, Program};
 pub use ids::{BlockId, FuncId, GlobalId, LocalId, VReg};
 pub use interp::{ExecStats, InterpError, Interpreter};
