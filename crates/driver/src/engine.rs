@@ -713,14 +713,26 @@ pub fn run_job(
             fuel: opts.fuel,
         },
     );
+    let decode = sim_start.elapsed();
     let stats = sim.run()?;
     let simulate = sim_start.elapsed();
-    tracer.record_span(
+    let span = tracer.record_span(
         "simulate",
         "stage",
         cell_ctx,
         sim_start,
         simulate,
+        Vec::new(),
+    );
+    // Its parts, back to back like `final_pack`'s; no histogram of their
+    // own.
+    tracer.record_span("decode", "stage", span, sim_start, decode, Vec::new());
+    tracer.record_span(
+        "execute",
+        "stage",
+        span,
+        sim_start + decode,
+        simulate - decode,
         Vec::new(),
     );
     tracer.observe(families::STAGE, "simulate", simulate);
@@ -1028,6 +1040,12 @@ mod tests {
         for name in ["deps", "priorities", "compact"] {
             assert_eq!(find(name).parent, find("final_pack").span);
         }
+        // `simulate` splits into set-up and run, laid end to end.
+        let simulate = find("simulate");
+        let (decode, execute) = (find("decode"), find("execute"));
+        assert_eq!(decode.parent, simulate.span);
+        assert_eq!(execute.parent, simulate.span);
+        assert!(decode.dur_us + execute.dur_us <= simulate.dur_us);
         // The prepared miss splits `opt` into one span per pass, laid
         // end to end inside it.
         let opt = find("opt");

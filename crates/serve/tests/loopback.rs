@@ -1074,6 +1074,8 @@ fn sweep_is_followable_end_to_end_by_request_id() {
         "compact",
         "link",
         "simulate",
+        "decode",
+        "execute",
     ] {
         assert!(
             in_trace.contains(&name),

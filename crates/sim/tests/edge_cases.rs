@@ -263,3 +263,115 @@ fn moves_and_conversions_cross_register_files() {
         "FromInt base and CvtItoF value"
     );
 }
+
+#[test]
+fn a_same_cycle_swap_exchanges_the_registers() {
+    // r1 = 3, r2 = 8; then r1 = r2 || r2 = r1 in one cycle.
+    let mut init = movi(1, 3);
+    init.du1 = Some(IntOp::MovImm {
+        dst: IReg(2),
+        imm: 8,
+    });
+    let mut swap = VliwInst::new();
+    swap.du0 = Some(IntOp::Mov {
+        dst: IReg(1),
+        src: IReg(2),
+    });
+    swap.du1 = Some(IntOp::Mov {
+        dst: IReg(2),
+        src: IReg(1),
+    });
+    let p = program(vec![init, swap, halt()]);
+    let (cycles, sim) = run(&p, 100, false);
+    assert_eq!(cycles, Ok(3));
+    assert_eq!((sim.ireg(1).as_i32(), sim.ireg(2).as_i32()), (8, 3));
+}
+
+#[test]
+fn a_store_reads_the_old_value_of_a_register_a_load_beside_it_writes() {
+    // Y[1] holds 40 and r1 = 6. In one cycle: st.X [0], r1 || ld.Y r1, [1].
+    let mut p = program(Vec::new());
+    p.y_image.init = vec![Word::ZERO, Word::from_i32(40)];
+    let mut both = VliwInst::new();
+    both.mu0 = Some(MemOp::Store {
+        src: Reg::Int(IReg(1)),
+        addr: MemAddr::Absolute(0),
+        bank: Bank::X,
+    });
+    both.mu1 = Some(MemOp::Load {
+        dst: Reg::Int(IReg(1)),
+        addr: MemAddr::Absolute(1),
+        bank: Bank::Y,
+    });
+    p.insts = vec![movi(1, 6), both, halt()];
+    let (cycles, sim) = run(&p, 100, false);
+    assert_eq!(cycles, Ok(3));
+    assert_eq!(sim.read_symbol("vx").unwrap()[0].as_i32(), 6);
+    assert_eq!(sim.ireg(1).as_i32(), 40);
+}
+
+#[test]
+fn a_branch_beside_a_write_of_its_condition_tests_the_old_value() {
+    // r1 = 1; then bnz r1 -> 3 || r1 = 0; pc 2 would set r2.
+    let mut branch = movi(1, 0);
+    branch.pcu = Some(PcuOp::BranchNz {
+        cond: IReg(1),
+        target: InstAddr(3),
+    });
+    let p = program(vec![movi(1, 1), branch, movi(2, 5), halt()]);
+    let (cycles, sim) = run(&p, 100, false);
+    assert_eq!(cycles, Ok(3), "the branch is taken");
+    assert_eq!((sim.ireg(1).as_i32(), sim.ireg(2).as_i32()), (0, 0));
+}
+
+#[test]
+fn a_fault_inside_a_straight_line_run_reports_its_own_pc() {
+    // Four instructions without control; the third loads X[500].
+    let mut load = VliwInst::new();
+    load.mu0 = Some(MemOp::Load {
+        dst: Reg::Int(IReg(2)),
+        addr: MemAddr::Absolute(500),
+        bank: Bank::X,
+    });
+    let p = program(vec![movi(1, 1), movi(2, 2), load, movi(3, 3), halt()]);
+    let (cycles, _) = run(&p, 100, false);
+    assert_eq!(
+        cycles,
+        Err(SimError::AddrOutOfRange {
+            pc: 2,
+            bank: Bank::X,
+            addr: 500,
+        })
+    );
+}
+
+#[test]
+fn fuel_that_ends_inside_a_straight_line_run_is_exhausted() {
+    // Five instructions without control, then halt: six cycles.
+    let mut insts: Vec<_> = (1..=5).map(|r| movi(r, r.into())).collect();
+    insts.push(halt());
+    let p = program(insts);
+    for fuel in 0..6 {
+        assert_eq!(
+            run(&p, fuel, false).0,
+            Err(SimError::FuelExhausted),
+            "{fuel}"
+        );
+    }
+    let (cycles, sim) = run(&p, 6, false);
+    assert_eq!(cycles, Ok(6));
+    assert_eq!(sim.pc_visits(), [1; 6]);
+    // A fault the budget does not reach stays unreported.
+    let mut fault = VliwInst::new();
+    fault.mu1 = Some(MemOp::Store {
+        src: Reg::Int(IReg(1)),
+        addr: MemAddr::Absolute(999),
+        bank: Bank::Y,
+    });
+    let p = program(vec![movi(1, 1), movi(2, 2), fault, halt()]);
+    assert_eq!(run(&p, 2, false).0, Err(SimError::FuelExhausted));
+    assert!(matches!(
+        run(&p, 3, false).0,
+        Err(SimError::AddrOutOfRange { pc: 2, .. })
+    ));
+}

@@ -57,6 +57,9 @@ echo "== dsp-perf release-mode correctness gate =="
 # the per-sweep cache counts.
 ./target/release/dsp-perf run --quick --workload suite-cold --seed 2 >/dev/null
 ./target/release/dsp-perf run --quick --workload suite-disk --seed 2 >/dev/null
+# The simulator's specification campaign with release arithmetic: the
+# stretch executor against the per-cycle stepper on random programs.
+cargo test --release -q -p dsp-sim $CARGO_FLAGS
 
 echo "== persistent-cache crash smoke test =="
 # Kill a sweep mid-run, restart over the crashed store, and require the
