@@ -174,3 +174,75 @@ fn unusable_cache_dir_degrades_to_memory_only() {
 
     let _ = std::fs::remove_file(&dir);
 }
+
+#[test]
+fn an_undecodable_payload_with_a_valid_crc_is_quarantined_at_its_first_load() {
+    // The startup sweep checks header, key echo, length and CRC but does
+    // not decode payloads, so a payload that only a buggy or hostile
+    // writer could produce (checksummed, yet undecodable) is recovered
+    // at open and caught by the full decode at its first load.
+    use dsp_driver::store::{
+        check_entry, crc32, decode_entry, entry_file_name, parse_entry_file_name, HEADER_LEN,
+    };
+
+    let dir = temp_dir("undecodable");
+    let bench = dsp_workloads::kernels::fir(16, 4);
+    let benches = std::slice::from_ref(&bench);
+    let strategies = [Strategy::Baseline];
+    engine_with_dir(&dir)
+        .run_matrix(benches, &strategies)
+        .unwrap();
+
+    // Truncate the one published payload, then recompute its length
+    // and CRC header fields (bytes 32..40 and 40..44).
+    let mut names = std::fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .filter_map(|name| Some((parse_entry_file_name(&name)?, name)));
+    let (key, name) = names.next().expect("one published entry");
+    assert!(names.next().is_none());
+    let path = dir.join(&name);
+    let mut bytes = std::fs::read(&path).unwrap();
+    let payload_len = (bytes.len() - HEADER_LEN) / 2;
+    bytes.truncate(HEADER_LEN + payload_len);
+    bytes[32..40].copy_from_slice(&(payload_len as u64).to_le_bytes());
+    let crc = crc32(&bytes[HEADER_LEN..]);
+    bytes[40..44].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+    assert!(check_entry(&key, &bytes).is_ok(), "integrity checks pass");
+    assert!(
+        decode_entry(&key, &bytes).is_err(),
+        "the payload does not decode"
+    );
+
+    // Open: the sweep counts it as recovered.
+    let eng = engine_with_dir(&dir);
+    let sweep = eng.cache().store().expect("store configured").sweep();
+    assert_eq!(sweep.recovered, 1, "{sweep:?}");
+    assert_eq!(sweep.quarantined, 0, "{sweep:?}");
+
+    // First load: not served, moved to quarantine/, counted; the cell
+    // recompiles instead.
+    let report = eng.run_matrix(benches, &strategies).unwrap();
+    let disk = report.cache.disk.expect("store configured");
+    assert_eq!((disk.hits, disk.quarantined), (0, 1), "{disk:?}");
+    let quarantined: Vec<String> = std::fs::read_dir(dir.join("quarantine"))
+        .unwrap()
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .collect();
+    assert_eq!(quarantined.len(), 1, "{quarantined:?}");
+    assert!(quarantined[0].starts_with(&entry_file_name(&key)));
+    assert_eq!(report.jobs[0].cached.artifact_disk, Some(false));
+    assert!(!report.jobs[0].cached.artifact, "the cell recompiled");
+    // The recompile republished a valid entry in its place.
+    assert!(decode_entry(&key, &std::fs::read(&path).unwrap()).is_ok());
+
+    let plain = Engine::new(EngineOptions {
+        jobs: 1,
+        ..EngineOptions::default()
+    });
+    let baseline = plain.run_matrix(benches, &strategies).unwrap();
+    assert_eq!(report.deterministic_json(), baseline.deterministic_json());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -34,20 +34,38 @@ fn compile_body(strategy: &str) -> String {
     )
 }
 
-/// De-chunk an HTTP/1.1 chunked body captured as raw bytes.
-fn dechunk(mut raw: &[u8]) -> Vec<u8> {
+/// De-chunk an HTTP/1.1 chunked body captured as raw bytes; a
+/// malformed or short body is an error, not a panic, so the caller can
+/// report it with its context.
+fn dechunk(mut raw: &[u8]) -> Result<Vec<u8>, String> {
     let mut body = Vec::new();
     while let Some(eol) = raw.windows(2).position(|w| w == b"\r\n") {
-        let size_line = std::str::from_utf8(&raw[..eol]).expect("chunk size line");
-        let size = usize::from_str_radix(size_line.trim(), 16).expect("hex chunk size");
+        let size_line =
+            std::str::from_utf8(&raw[..eol]).map_err(|e| format!("chunk size line: {e}"))?;
+        let size = usize::from_str_radix(size_line.trim(), 16)
+            .map_err(|e| format!("chunk size {size_line:?}: {e}"))?;
         raw = &raw[eol + 2..];
         if size == 0 {
             break;
         }
+        if raw.len() < size + 2 {
+            return Err(format!("chunk of {size} bytes cut short at {}", raw.len()));
+        }
         body.extend_from_slice(&raw[..size]);
         raw = &raw[size + 2..]; // skip the chunk's trailing CRLF
     }
-    body
+    Ok(body)
+}
+
+/// What a failure of the SIGKILL test prints to name its cause: the
+/// replica each strategy's probe compile landed on, the sweep order
+/// built from them, and every byte the routed sweep streamed so far.
+fn diag(homes: &[(&str, String)], ordered: &[&str], raw: &[u8]) -> String {
+    format!(
+        "\n  probed homes: {homes:?}\n  sweep order: {ordered:?}\n  streamed {} bytes:\n{}",
+        raw.len(),
+        String::from_utf8_lossy(raw)
+    )
 }
 
 #[test]
@@ -75,11 +93,24 @@ fn sigkilled_replica_mid_sweep_yields_a_well_formed_document_and_visible_failove
     for s in STRATEGIES {
         let resp = conn
             .request("POST", "/compile", Some(&compile_body(s)))
-            .expect("probe compile");
-        assert_eq!(resp.status, 200, "probe {s}: {}", resp.text());
-        homes.push((s, resp.header("x-dsp-replica").expect("tag").to_string()));
+            .unwrap_or_else(|e| panic!("probe compile {s}: {e}{}", diag(&homes, &[], &[])));
+        assert_eq!(
+            resp.status,
+            200,
+            "probe {s}: {}{}",
+            resp.text(),
+            diag(&homes, &[], &[])
+        );
+        let home = resp
+            .header("x-dsp-replica")
+            .unwrap_or_else(|| panic!("probe {s}: no replica tag{}", diag(&homes, &[], &[])));
+        homes.push((s, home.to_string()));
     }
-    let victim_id = homes.last().expect("7 probes").1.clone();
+    let victim_id = homes
+        .last()
+        .unwrap_or_else(|| panic!("7 probes{}", diag(&homes, &[], &[])))
+        .1
+        .clone();
     for (s, home) in &homes {
         if *home == victim_id {
             victim_strategies.push(*s);
@@ -109,19 +140,20 @@ fn sigkilled_replica_mid_sweep_yields_a_well_formed_document_and_visible_failove
             .collect::<Vec<_>>()
             .join(", ")
     );
-    let mut stream = TcpStream::connect(&router.addr).expect("connect router raw");
+    let mut raw = Vec::new();
+    let mut stream = TcpStream::connect(&router.addr)
+        .unwrap_or_else(|e| panic!("connect router raw: {e}{}", diag(&homes, &ordered, &raw)));
     stream
         .set_read_timeout(Some(Duration::from_secs(120)))
-        .expect("read timeout");
+        .unwrap_or_else(|e| panic!("read timeout: {e}{}", diag(&homes, &ordered, &raw)));
     write!(
         stream,
         "POST /sweep HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{sweep_body}",
         sweep_body.len()
     )
-    .expect("send sweep");
+    .unwrap_or_else(|e| panic!("send sweep: {e}{}", diag(&homes, &ordered, &raw)));
 
-    let mut raw = Vec::new();
     let mut buf = [0u8; 4096];
     let mut killed = false;
     let mut victim = victim; // mutable for kill
@@ -131,36 +163,41 @@ fn sigkilled_replica_mid_sweep_yields_a_well_formed_document_and_visible_failove
             Ok(n) => {
                 raw.extend_from_slice(&buf[..n]);
                 if !killed && raw.windows(8).any(|w| w == b"\"cycles\"") {
-                    victim.child.kill().expect("SIGKILL victim");
+                    if let Err(e) = victim.child.kill() {
+                        panic!("SIGKILL victim: {e}{}", diag(&homes, &ordered, &raw));
+                    }
                     let _ = victim.child.wait();
                     killed = true;
                 }
             }
-            Err(e) => panic!("reading routed sweep: {e}"),
+            Err(e) => panic!("reading routed sweep: {e}{}", diag(&homes, &ordered, &raw)),
         }
     }
-    assert!(killed, "the first cell must have streamed before EOF");
+    let ctx = diag(&homes, &ordered, &raw);
+    assert!(killed, "the first cell must have streamed before EOF{ctx}");
 
     let head_end = raw
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
-        .expect("header terminator");
+        .unwrap_or_else(|| panic!("header terminator{ctx}"));
     let head = String::from_utf8_lossy(&raw[..head_end]);
-    assert!(head.starts_with("HTTP/1.1 200"), "status line: {head}");
-    let doc = String::from_utf8(dechunk(&raw[head_end + 4..])).expect("utf-8 document");
+    assert!(head.starts_with("HTTP/1.1 200"), "status line: {head}{ctx}");
+    let body = dechunk(&raw[head_end + 4..]).unwrap_or_else(|e| panic!("dechunk: {e}{ctx}"));
+    let doc = String::from_utf8(body).unwrap_or_else(|e| panic!("utf-8 document: {e}{ctx}"));
 
     // Well-formed, whatever happened: parseable JSON, the run-report
     // schema, and an explicit truncation verdict.
-    let parsed = dsp_driver::json::parse(&doc).expect("routed document parses");
+    let parsed = dsp_driver::json::parse(&doc)
+        .unwrap_or_else(|e| panic!("routed document parses: {e}{ctx}"));
     assert_eq!(
         parsed.get("schema").and_then(|v| v.as_str()),
         Some("dualbank-run-report/v1"),
-        "document: {doc}"
+        "document schema{ctx}"
     );
     let truncated = doc.contains("\"truncated\": true");
     assert!(
         truncated || doc.contains("\"truncated\": false"),
-        "the tail must carry a truncation verdict: {doc}"
+        "the tail must carry a truncation verdict{ctx}"
     );
 
     // With retries available and a live survivor, the expected outcome
@@ -169,12 +206,14 @@ fn sigkilled_replica_mid_sweep_yields_a_well_formed_document_and_visible_failove
         let reference = survivor
             .connect()
             .request("POST", "/sweep", Some(&sweep_body))
-            .expect("reference sweep");
-        assert_eq!(reference.status, 200);
+            .unwrap_or_else(|e| panic!("reference sweep: {e}{ctx}"));
+        assert_eq!(reference.status, 200, "reference sweep status{ctx}");
         assert_eq!(
-            dsp_driver::project_deterministic_json(&doc).expect("project routed"),
-            dsp_driver::project_deterministic_json(&reference.text()).expect("project reference"),
-            "complete routed document must match a single node byte-for-byte under projection"
+            dsp_driver::project_deterministic_json(&doc)
+                .unwrap_or_else(|e| panic!("project routed: {e}{ctx}")),
+            dsp_driver::project_deterministic_json(&reference.text())
+                .unwrap_or_else(|e| panic!("project reference: {e}{ctx}")),
+            "complete routed document must match a single node byte-for-byte under projection{ctx}"
         );
     }
 
@@ -183,7 +222,7 @@ fn sigkilled_replica_mid_sweep_yields_a_well_formed_document_and_visible_failove
     let metrics = router
         .connect()
         .request("GET", "/metrics", None)
-        .expect("router metrics")
+        .unwrap_or_else(|e| panic!("router metrics: {e}{ctx}"))
         .text();
     let errors_on_victim = metrics.lines().any(|l| {
         l.starts_with(&format!(
@@ -195,10 +234,10 @@ fn sigkilled_replica_mid_sweep_yields_a_well_formed_document_and_visible_failove
         .lines()
         .find_map(|l| l.strip_prefix("dsp_router_retries_total "))
         .and_then(|v| v.trim().parse().ok())
-        .expect("retries counter");
+        .unwrap_or_else(|| panic!("retries counter:\n{metrics}{ctx}"));
     assert!(
         errors_on_victim && retries > 0,
-        "failover must be visible in dsp_router_* metrics:\n{metrics}"
+        "failover must be visible in dsp_router_* metrics:\n{metrics}{ctx}"
     );
 }
 
