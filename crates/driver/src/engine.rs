@@ -52,10 +52,28 @@ use crate::store::DiskStore;
 /// Returns a human-readable message naming `flag` on empty,
 /// non-numeric, or zero input.
 pub fn parse_worker_count(flag: &str, input: &str) -> Result<usize, String> {
+    parse_positive(flag, input, "omit the flag to use all cores")
+}
+
+/// Parse a user-supplied queue capacity (`dsp-serve --queue`): a
+/// positive integer, like [`parse_worker_count`], but a rejected `0`
+/// points at the flag's `default` rather than at the core count.
+///
+/// # Errors
+///
+/// Returns a human-readable message naming `flag` on empty,
+/// non-numeric, or zero input.
+pub fn parse_queue_capacity(flag: &str, input: &str, default: usize) -> Result<usize, String> {
+    parse_positive(
+        flag,
+        input,
+        &format!("omit the flag for the default of {default}"),
+    )
+}
+
+fn parse_positive(flag: &str, input: &str, zero_hint: &str) -> Result<usize, String> {
     match input.parse::<usize>() {
-        Ok(0) => Err(format!(
-            "{flag} must be at least 1 (omit the flag to use all cores)"
-        )),
+        Ok(0) => Err(format!("{flag} must be at least 1 ({zero_hint})")),
         Ok(n) => Ok(n),
         Err(_) => Err(format!("{flag} expects a positive integer, got `{input}`")),
     }
@@ -838,6 +856,18 @@ mod tests {
         assert!(err.contains("at least 1"), "error should say why: {err}");
         let err = parse_worker_count("--workers", "0").unwrap_err();
         assert!(err.contains("--workers"));
+    }
+
+    #[test]
+    fn queue_capacity_zero_points_at_the_queue_default_not_the_cores() {
+        assert_eq!(parse_queue_capacity("--queue", "8", 64), Ok(8));
+        let err = parse_queue_capacity("--queue", "0", 64).unwrap_err();
+        assert_eq!(
+            err,
+            "--queue must be at least 1 (omit the flag for the default of 64)"
+        );
+        let err = parse_queue_capacity("--queue", "x", 64).unwrap_err();
+        assert!(err.contains("positive integer"), "{err}");
     }
 
     #[test]

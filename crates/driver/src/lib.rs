@@ -60,8 +60,8 @@ pub mod store;
 
 pub use cache::{ArtifactCache, ArtifactKey, CacheStats, CompiledArtifact, Lookup};
 pub use engine::{
-    parse_byte_budget, parse_cache_dir, parse_entry_budget, parse_worker_count, Engine,
-    EngineError, EngineOptions, MatrixRun,
+    parse_byte_budget, parse_cache_dir, parse_entry_budget, parse_queue_capacity,
+    parse_worker_count, Engine, EngineError, EngineOptions, MatrixRun,
 };
 pub use report::{
     project_deterministic_json, sweep_json_prefix, sweep_json_tail, verify_job_digest,

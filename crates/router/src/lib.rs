@@ -20,7 +20,8 @@
 //!   byte), `/sweep` fan-out/fan-in that reassembles a matrix-order
 //!   document wire-compatible with a single node's, and the
 //!   observability surface (`/healthz`, `/readyz`, `/metrics`,
-//!   `/replicas`, `/debug/trace`).
+//!   `/replicas`), behind the HTTP front-end it shares with
+//!   `dsp-serve` (`dsp_serve::front`).
 //! * **[`metrics`]** — the `dsp_router_*` Prometheus families.
 //!
 //! The router holds no compute and no cache of its own; it is pure

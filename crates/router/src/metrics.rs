@@ -20,24 +20,37 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use dsp_serve::front::Counters;
 use dsp_trace::expo::{Exposition, Kind};
 use dsp_trace::{families, Tracer};
 
 use crate::replica::{ReplicaSet, RetryBudget};
 
+/// Path → endpoint label of every path the router answers.
+pub const ENDPOINTS: &[(&str, &str)] = &[
+    ("/compile", "compile"),
+    ("/sweep", "sweep"),
+    ("/healthz", "healthz"),
+    ("/readyz", "readyz"),
+    ("/metrics", "metrics"),
+    ("/replicas", "replicas"),
+    ("/debug/trace", "trace"),
+    ("/admin/shutdown", "shutdown"),
+];
+
 /// All router counters.
 pub struct RouterMetrics {
     started: Instant,
-    /// Client-facing requests by (endpoint, status).
-    client_requests: Mutex<BTreeMap<(&'static str, u16), u64>>,
+    /// The front-end's counters: client-facing requests by endpoint
+    /// and status, 503s and 408s. Its tracer feeds the latency
+    /// histogram families.
+    pub front: Counters,
     /// Upstream attempts by (replica address, status label).
     upstream_requests: Mutex<BTreeMap<(String, String), u64>>,
     /// Upstream attempts replayed onto another replica.
     pub retries_total: AtomicU64,
     /// Retries refused because the token bucket was empty.
     pub retry_budget_exhausted_total: AtomicU64,
-    /// Connections answered 503 because the accept queue was full.
-    pub rejected_total: AtomicU64,
     /// Requests answered 503 because no upstream replica was ready.
     pub no_upstream_total: AtomicU64,
     /// Fanned-out sweeps closed with `"truncated": true` after a cell
@@ -45,12 +58,9 @@ pub struct RouterMetrics {
     pub sweep_truncations_total: AtomicU64,
     /// Upstream attempts fast-failed by an open circuit breaker.
     pub breaker_fast_fail_total: AtomicU64,
-    /// Client requests aborted for trickling past the read deadline.
-    pub read_deadline_total: AtomicU64,
     /// Sweep cells whose `"digest"` checksum failed verification at
     /// fan-in (each is re-fetched once before the cell errors).
     pub cell_digest_mismatch_total: AtomicU64,
-    tracer: Arc<Tracer>,
 }
 
 impl RouterMetrics {
@@ -60,54 +70,14 @@ impl RouterMetrics {
     pub fn new(tracer: Arc<Tracer>) -> RouterMetrics {
         RouterMetrics {
             started: Instant::now(),
-            client_requests: Mutex::new(BTreeMap::new()),
+            front: Counters::new(tracer),
             upstream_requests: Mutex::new(BTreeMap::new()),
             retries_total: AtomicU64::new(0),
             retry_budget_exhausted_total: AtomicU64::new(0),
-            rejected_total: AtomicU64::new(0),
             no_upstream_total: AtomicU64::new(0),
             sweep_truncations_total: AtomicU64::new(0),
             breaker_fast_fail_total: AtomicU64::new(0),
-            read_deadline_total: AtomicU64::new(0),
             cell_digest_mismatch_total: AtomicU64::new(0),
-            tracer,
-        }
-    }
-
-    /// Normalize a request path to a bounded endpoint label.
-    #[must_use]
-    pub fn endpoint_label(path: &str) -> &'static str {
-        match path {
-            "/compile" => "compile",
-            "/sweep" => "sweep",
-            "/healthz" => "healthz",
-            "/readyz" => "readyz",
-            "/metrics" => "metrics",
-            "/replicas" => "replicas",
-            "/debug/trace" => "trace",
-            "/admin/shutdown" => "shutdown",
-            _ => "other",
-        }
-    }
-
-    /// Count one finished client-facing request.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request-map mutex is poisoned.
-    pub fn record_request(&self, endpoint: &'static str, status: u16, latency: Duration) {
-        *self
-            .client_requests
-            .lock()
-            .expect("metrics mutex poisoned")
-            .entry((endpoint, status))
-            .or_insert(0) += 1;
-        if self.tracer.is_enabled() {
-            self.tracer.observe(
-                families::HTTP_REQUEST,
-                &format!("{endpoint}|{status}"),
-                latency,
-            );
         }
     }
 
@@ -126,25 +96,10 @@ impl RouterMetrics {
             .expect("metrics mutex poisoned")
             .entry((replica.to_string(), label))
             .or_insert(0) += 1;
-        if self.tracer.is_enabled() {
-            self.tracer.observe(families::UPSTREAM, replica, latency);
+        let tracer = self.front.tracer();
+        if tracer.is_enabled() {
+            tracer.observe(families::UPSTREAM, replica, latency);
         }
-    }
-
-    /// Total client-facing requests recorded for `endpoint`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request-map mutex is poisoned.
-    #[must_use]
-    pub fn requests_for(&self, endpoint: &str) -> u64 {
-        self.client_requests
-            .lock()
-            .expect("metrics mutex poisoned")
-            .iter()
-            .filter(|((e, _), _)| *e == endpoint)
-            .map(|(_, n)| *n)
-            .sum()
     }
 
     /// Render the Prometheus text format.
@@ -219,21 +174,11 @@ impl RouterMetrics {
         {
             x.sample(name, &[("replica", replica), ("status", status)], n);
         }
-        let name = "dsp_router_client_requests_total";
-        x.family(
-            name,
-            Counter,
+        self.front.render_requests(
+            &mut x,
+            "dsp_router_client_requests_total",
             "Finished client-facing requests by endpoint and status.",
         );
-        for ((endpoint, status), n) in self
-            .client_requests
-            .lock()
-            .expect("metrics mutex poisoned")
-            .iter()
-        {
-            let status = status.to_string();
-            x.sample(name, &[("endpoint", endpoint), ("status", &status)], n);
-        }
 
         for (name, help, n) in [
             (
@@ -264,7 +209,7 @@ impl RouterMetrics {
             (
                 "dsp_router_rejected_total",
                 "Connections answered 503 because the accept queue was full.",
-                load(&self.rejected_total),
+                load(&self.front.rejected_total),
             ),
             (
                 "dsp_router_no_upstream_total",
@@ -289,7 +234,7 @@ impl RouterMetrics {
             (
                 "dsp_router_read_deadline_total",
                 "Client requests whose bytes trickled past the read deadline (408).",
-                load(&self.read_deadline_total),
+                load(&self.front.read_deadline_total),
             ),
             (
                 "dsp_router_cell_digest_mismatch_total",
@@ -332,14 +277,14 @@ impl RouterMetrics {
         );
 
         x.tracer_family(
-            &self.tracer,
+            self.front.tracer(),
             families::HTTP_REQUEST,
             "dsp_router_request_seconds",
             "End-to-end routed request latency by endpoint and status.",
             &["endpoint", "status"],
         );
         x.tracer_family(
-            &self.tracer,
+            self.front.tracer(),
             families::UPSTREAM,
             "dsp_router_upstream_seconds",
             "Upstream attempt latency by replica.",
@@ -373,7 +318,8 @@ mod tests {
         set.set_announced_id(0, "r1");
         let budget = RetryBudget::new(8.0, 0.1);
         let m = RouterMetrics::new(Tracer::disabled());
-        m.record_request("compile", 200, Duration::from_millis(2));
+        m.front
+            .record_request("compile", 200, Duration::from_millis(2));
         m.record_upstream("127.0.0.1:9201", Some(200), Duration::from_millis(1));
         m.record_upstream("127.0.0.1:9202", None, Duration::from_millis(1));
         m.retries_total.fetch_add(1, Ordering::Relaxed);
@@ -408,7 +354,9 @@ mod tests {
         let set = sample_set();
         let budget = RetryBudget::new(8.0, 0.1);
         let traced = RouterMetrics::new(Tracer::new(64));
-        traced.record_request("compile", 200, Duration::from_millis(2));
+        traced
+            .front
+            .record_request("compile", 200, Duration::from_millis(2));
         traced.record_upstream("127.0.0.1:9201", Some(200), Duration::from_micros(700));
         let text = traced.render(&set, &budget, 0, 64);
         for line in [
@@ -420,7 +368,9 @@ mod tests {
             assert!(text.contains(line), "missing `{line}` in:\n{text}");
         }
         let untraced = RouterMetrics::new(Tracer::disabled());
-        untraced.record_request("compile", 200, Duration::from_millis(2));
+        untraced
+            .front
+            .record_request("compile", 200, Duration::from_millis(2));
         let text = untraced.render(&set, &budget, 0, 64);
         assert!(!text.contains("dsp_router_request_seconds"), "{text}");
         assert!(!text.contains("dsp_router_upstream_seconds"), "{text}");
@@ -438,17 +388,19 @@ mod tests {
         set.probes_failed_total.store(2, Ordering::Relaxed);
         let budget = RetryBudget::new(8.0, 0.1);
         let m = RouterMetrics::new(Tracer::new(64));
-        m.record_request("compile", 200, Duration::from_millis(2));
-        m.record_request("sweep", 503, Duration::from_micros(40));
+        m.front
+            .record_request("compile", 200, Duration::from_millis(2));
+        m.front
+            .record_request("sweep", 503, Duration::from_micros(40));
         m.record_upstream("127.0.0.1:9201", Some(200), Duration::from_millis(1));
         m.record_upstream("127.0.0.1:9202", None, Duration::from_micros(700));
         m.retries_total.store(3, Ordering::Relaxed);
         m.retry_budget_exhausted_total.store(1, Ordering::Relaxed);
-        m.rejected_total.store(2, Ordering::Relaxed);
+        m.front.rejected_total.store(2, Ordering::Relaxed);
         m.no_upstream_total.store(1, Ordering::Relaxed);
         m.sweep_truncations_total.store(1, Ordering::Relaxed);
         m.breaker_fast_fail_total.store(5, Ordering::Relaxed);
-        m.read_deadline_total.store(1, Ordering::Relaxed);
+        m.front.read_deadline_total.store(1, Ordering::Relaxed);
         m.cell_digest_mismatch_total.store(1, Ordering::Relaxed);
         let text = m.render(&set, &budget, 1, 64);
         let masked: String = text
@@ -480,8 +432,9 @@ mod tests {
 
     #[test]
     fn unknown_paths_collapse_to_other() {
-        assert_eq!(RouterMetrics::endpoint_label("/compile"), "compile");
-        assert_eq!(RouterMetrics::endpoint_label("/replicas"), "replicas");
-        assert_eq!(RouterMetrics::endpoint_label("/nope"), "other");
+        use dsp_serve::front::endpoint_label;
+        assert_eq!(endpoint_label(ENDPOINTS, "/compile"), "compile");
+        assert_eq!(endpoint_label(ENDPOINTS, "/replicas"), "replicas");
+        assert_eq!(endpoint_label(ENDPOINTS, "/nope"), "other");
     }
 }

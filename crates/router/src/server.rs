@@ -1,6 +1,6 @@
-//! The router itself: accept loop → bounded queue → connection
-//! workers, a background readiness prober, and the two proxied
-//! compute paths.
+//! The router itself: the shared HTTP front-end
+//! ([`dsp_serve::front`]), a background readiness prober, and the two
+//! proxied compute paths.
 //!
 //! ```text
 //!            ┌────────────┐        ┌──────────────────────────────┐
@@ -33,8 +33,7 @@
 //! deadline mid-stream.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::num::NonZeroUsize;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -43,12 +42,9 @@ use dsp_backend::Strategy;
 use dsp_driver::json::{self, Value};
 use dsp_driver::{sweep_json_prefix, sweep_json_tail, CacheStats, SpanCtx, Tracer};
 use dsp_serve::client::ClientResponse;
-use dsp_serve::http::{
-    await_request, poll_slice, read_request_deadline, ChunkedWriter, Request, RequestError,
-    Response,
-};
+use dsp_serve::front::{Bound, Counters, Front, Handle, Reply, Service, Settings, SweepOutcome};
+use dsp_serve::http::{Request, Response};
 use dsp_serve::server::parse_sweep_targets;
-use dsp_serve::{BoundedQueue, PushError};
 
 use crate::metrics::RouterMetrics;
 use crate::replica::{ReplicaSet, RetryBudget, UpstreamPolicy};
@@ -146,46 +142,21 @@ impl Default for RouterConfig {
     }
 }
 
-struct Shared {
+/// A bound, not-yet-running router.
+pub struct Router(Bound<RouterState>);
+
+/// Remote control for a running [`Router`] (cloneable, thread-safe).
+/// Its shutdown leaves the replicas running.
+pub type RouterHandle = Handle<RouterState>;
+
+/// What a router adds to the shared front-end: the replica set, its
+/// metrics, and the retry budget.
+pub struct RouterState {
     config: RouterConfig,
     set: ReplicaSet,
     metrics: RouterMetrics,
     budget: RetryBudget,
-    queue: BoundedQueue<TcpStream>,
     tracer: Arc<Tracer>,
-    shutdown: AtomicBool,
-    workers: usize,
-}
-
-/// A bound, not-yet-running router.
-pub struct Router {
-    listener: TcpListener,
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-}
-
-/// Remote control for a running [`Router`] (cloneable, thread-safe).
-#[derive(Clone)]
-pub struct RouterHandle {
-    shared: Arc<Shared>,
-    addr: SocketAddr,
-}
-
-impl RouterHandle {
-    /// The router's bound address.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Begin a graceful shutdown; replicas are left running.
-    pub fn shutdown(&self) {
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.shared.queue.close();
-        let _ = TcpStream::connect(self.addr);
-    }
 }
 
 impl Router {
@@ -194,7 +165,8 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// Fails on bind failure or an empty replica list.
+    /// Fails on bind failure, an empty replica list, or a zero
+    /// `queue_capacity` (`InvalidInput`).
     pub fn bind(config: RouterConfig) -> io::Result<Router> {
         if config.replicas.is_empty() {
             return Err(io::Error::new(
@@ -202,135 +174,132 @@ impl Router {
                 "a router needs at least one --replica",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        let workers = if config.workers == 0 {
-            std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
-        } else {
-            config.workers
+        let settings = Settings {
+            addr: &config.addr,
+            workers: config.workers,
+            queue_capacity: config.queue_capacity,
+            max_body: config.max_body,
+            read_timeout: config.read_timeout,
+            read_deadline: config.read_deadline,
+            trace: config.trace,
         };
-        let tracer = if config.trace {
-            Tracer::new(8192)
-        } else {
-            Tracer::disabled()
-        };
-        let set = ReplicaSet::new(
-            config.replicas.clone(),
-            UpstreamPolicy {
-                pool_cap: config.pool_per_replica,
-                fail_after: config.fail_after,
-                readmit_after: config.readmit_after,
-                upstream_timeout: config.upstream_timeout,
-                connect_timeout: config.connect_timeout,
-                first_byte_timeout: config.first_byte_timeout,
-                idle_timeout: config.idle_timeout,
-                pool_idle: config.pool_idle,
-                breaker_threshold: config.breaker_threshold,
-                breaker_cooldown: config.breaker_cooldown,
-            },
-        );
-        let budget = RetryBudget::new(config.retry_budget, config.retry_deposit);
-        let queue = BoundedQueue::new(config.queue_capacity);
-        Ok(Router {
-            listener,
-            local_addr,
-            shared: Arc::new(Shared {
-                metrics: RouterMetrics::new(Arc::clone(&tracer)),
-                config,
-                set,
-                budget,
-                queue,
-                tracer,
-                shutdown: AtomicBool::new(false),
-                workers,
-            }),
+        Bound::open(&settings, |tracer| RouterState {
+            set: ReplicaSet::new(
+                config.replicas.clone(),
+                UpstreamPolicy {
+                    pool_cap: config.pool_per_replica,
+                    fail_after: config.fail_after,
+                    readmit_after: config.readmit_after,
+                    upstream_timeout: config.upstream_timeout,
+                    connect_timeout: config.connect_timeout,
+                    first_byte_timeout: config.first_byte_timeout,
+                    idle_timeout: config.idle_timeout,
+                    pool_idle: config.pool_idle,
+                    breaker_threshold: config.breaker_threshold,
+                    breaker_cooldown: config.breaker_cooldown,
+                },
+            ),
+            budget: RetryBudget::new(config.retry_budget, config.retry_deposit),
+            metrics: RouterMetrics::new(Arc::clone(tracer)),
+            tracer: Arc::clone(tracer),
+            config: config.clone(),
         })
+        .map(Router)
     }
 
     /// The bound address (useful after binding port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.0.local_addr()
     }
 
     /// A handle for shutting the router down from another thread.
     #[must_use]
     pub fn handle(&self) -> RouterHandle {
-        RouterHandle {
-            shared: Arc::clone(&self.shared),
-            addr: self.local_addr,
-        }
+        self.0.handle()
     }
 
     /// Serve until a graceful shutdown is requested. Runs the accept
     /// loop on the calling thread; connection workers and the
-    /// readiness prober run on background threads.
+    /// readiness prober run on background threads. Pooled upstream
+    /// connections close once the workers have drained.
     ///
     /// # Errors
     ///
-    /// Propagates accept-loop transport failures.
+    /// Propagates thread-spawn failures.
     pub fn run(self) -> io::Result<()> {
-        let mut workers = Vec::with_capacity(self.shared.workers + 1);
-        for i in 0..self.shared.workers {
-            let shared = Arc::clone(&self.shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("dsp-router-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))?,
-            );
-        }
-        {
-            let shared = Arc::clone(&self.shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name("dsp-router-prober".to_string())
-                    .spawn(move || prober_loop(&shared))?,
-            );
-        }
-
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            let _ = stream.set_read_timeout(Some(poll_slice(self.shared.config.read_timeout)));
-            let _ = stream.set_nodelay(true);
-            match self.shared.queue.try_push(stream) {
-                Ok(()) => {}
-                Err(PushError::Full(mut stream)) => {
-                    self.shared
-                        .metrics
-                        .rejected_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    let resp = Response::error(503, "router is at capacity, retry shortly")
-                        .with_header("Retry-After", "1".to_string());
-                    let _ = resp.write_to(&mut stream, false);
-                }
-                Err(PushError::Closed(_)) => break,
-            }
-        }
-
-        self.shared.queue.close();
-        for w in workers {
-            let _ = w.join();
-        }
-        self.shared.set.drain_pools();
-        Ok(())
+        let handle = self.handle();
+        let prober = {
+            let handle = handle.clone();
+            std::thread::Builder::new()
+                .name("dsp-router-prober".to_string())
+                .spawn(move || prober_loop(&handle))?
+        };
+        let served = self.0.run();
+        handle.shutdown();
+        let _ = prober.join();
+        handle.service().set.drain_pools();
+        served
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(mut stream) = shared.queue.pop() {
-        handle_connection(shared, &mut stream);
+impl Service for RouterState {
+    const NOUN: &'static str = "router";
+    const THREADS: &'static str = "dsp-router";
+    const ROOT_SPAN: (&'static str, &'static str) = ("router.request", "router");
+    // Every request starts its own trace: the router is where a
+    // fleet-wide trace begins.
+    const ADOPT_TRACEPARENT: bool = false;
+    const ENDPOINTS: &'static [(&'static str, &'static str)] = crate::metrics::ENDPOINTS;
+
+    fn counters(&self) -> &Counters {
+        &self.metrics.front
+    }
+
+    fn route(
+        &self,
+        front: &Front,
+        request: &Request,
+        root: SpanCtx,
+        req_id: Option<&str>,
+    ) -> Option<Response> {
+        Some(match (request.method.as_str(), request.path.as_str()) {
+            ("GET", "/healthz") => Response::json(200, "{\"status\": \"ok\"}\n".to_string()),
+            // The router is ready when it can route somewhere.
+            ("GET", "/readyz") => match self.set.ready_count() {
+                0 => Response::error(503, "no upstream replica is ready"),
+                ready => Response::json(
+                    200,
+                    format!("{{\"status\": \"ready\", \"upstreams\": {ready}}}\n"),
+                ),
+            },
+            ("GET", "/metrics") => Response::text(
+                200,
+                &self.metrics.render(
+                    &self.set,
+                    &self.budget,
+                    front.queue_depth(),
+                    front.queue_capacity(),
+                ),
+            ),
+            ("GET", "/replicas") => replicas_response(self),
+            ("POST", "/compile") => proxy_compile(self, request, root, req_id),
+            _ => return None,
+        })
+    }
+
+    fn sweep(&self, request: &Request, reply: Reply<'_>, root: SpanCtx) -> SweepOutcome {
+        handle_sweep(self, request, reply, root)
     }
 }
 
 /// Probe every replica's `/readyz` on a fresh connection (never a
 /// pooled one — a probe must not contend with request traffic for
 /// pool slots) and feed the outcomes into the hysteretic health state.
-fn prober_loop(shared: &Arc<Shared>) {
+fn prober_loop(handle: &RouterHandle) {
+    let (shared, front) = (handle.service(), handle.front());
     let probe_timeout = shared.config.upstream_timeout.min(Duration::from_secs(1));
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !front.stopping() {
         for idx in 0..shared.set.len() {
             let ok = probe_once(shared, idx, probe_timeout);
             if ok {
@@ -348,7 +317,7 @@ fn prober_loop(shared: &Arc<Shared>) {
         shared.set.reap_idle();
         // Sleep in short slices so shutdown is prompt.
         let mut remaining = shared.config.probe_interval;
-        while !remaining.is_zero() && !shared.shutdown.load(Ordering::SeqCst) {
+        while !remaining.is_zero() && !front.stopping() {
             let slice = remaining.min(Duration::from_millis(50));
             std::thread::sleep(slice);
             remaining = remaining.saturating_sub(slice);
@@ -356,7 +325,7 @@ fn prober_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn probe_once(shared: &Shared, idx: usize, timeout: Duration) -> bool {
+fn probe_once(shared: &RouterState, idx: usize, timeout: Duration) -> bool {
     let Ok(mut conn) = dsp_serve::client::ClientConn::connect(shared.set.addr(idx), timeout) else {
         return false;
     };
@@ -371,187 +340,8 @@ fn probe_once(shared: &Shared, idx: usize, timeout: Duration) -> bool {
     }
 }
 
-/// Serve one client connection for its keep-alive lifetime.
-fn handle_connection(shared: &Arc<Shared>, stream: &mut TcpStream) {
-    let idle = shared.config.read_timeout;
-    let mut between_requests = false;
-    loop {
-        // A connection's first request is awaited by the read alone, so
-        // one accepted before a stop is still answered; between
-        // keep-alive requests a stop closes the connection at once.
-        if between_requests && !await_request(stream, &shared.shutdown, idle) {
-            return;
-        }
-        between_requests = true;
-        let request = match read_request_deadline(
-            stream,
-            shared.config.max_body,
-            Some(idle),
-            shared.config.read_deadline,
-        ) {
-            Ok(r) => r,
-            Err(RequestError::Closed | RequestError::TimedOut | RequestError::Io(_)) => return,
-            Err(RequestError::ReadDeadline) => {
-                shared
-                    .metrics
-                    .read_deadline_total
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ =
-                    Response::error(408, "request read deadline exceeded").write_to(stream, false);
-                return;
-            }
-            Err(RequestError::BodyTooLarge { declared, limit }) => {
-                let msg =
-                    format!("request body of {declared} bytes exceeds the {limit}-byte limit");
-                let _ = Response::error(413, &msg).write_to(stream, false);
-                return;
-            }
-            Err(RequestError::Malformed(why)) => {
-                let _ = Response::error(400, why).write_to(stream, false);
-                return;
-            }
-        };
-
-        let started = Instant::now();
-        let endpoint = RouterMetrics::endpoint_label(&request.path);
-        let mut span = shared
-            .tracer
-            .span("router.request", "router", shared.tracer.new_trace());
-        let root = span.ctx();
-        let req_id = request_id(&request, root);
-        span.attr("method", &request.method);
-        span.attr("path", &request.path);
-        if let Some(id) = &req_id {
-            span.attr("request_id", id);
-        }
-
-        if request.method == "POST" && request.path == "/sweep" {
-            let keep_alive = request.keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
-            let outcome = handle_sweep(
-                shared,
-                &request,
-                stream,
-                keep_alive,
-                root,
-                req_id.as_deref(),
-            );
-            span.attr("status", &outcome.status.to_string());
-            drop(span);
-            shared
-                .metrics
-                .record_request(endpoint, outcome.status, started.elapsed());
-            if !outcome.io_ok || !keep_alive {
-                return;
-            }
-            continue;
-        }
-
-        let (response, trigger_shutdown) = route(shared, &request, root, req_id.as_deref());
-        let response = match &req_id {
-            Some(id) => response.with_header("X-Request-Id", id.clone()),
-            None => response,
-        };
-        span.attr("status", &response.status.to_string());
-        drop(span);
-        shared
-            .metrics
-            .record_request(endpoint, response.status, started.elapsed());
-
-        let shutting_down = shared.shutdown.load(Ordering::SeqCst) || trigger_shutdown;
-        let keep_alive = request.keep_alive() && !shutting_down;
-        if response.write_to(stream, keep_alive).is_err() {
-            return;
-        }
-        if trigger_shutdown {
-            RouterHandle {
-                shared: Arc::clone(shared),
-                addr: stream
-                    .local_addr()
-                    .unwrap_or_else(|_| SocketAddr::from(([127, 0, 0, 1], 0))),
-            }
-            .shutdown();
-        }
-        if !keep_alive {
-            return;
-        }
-    }
-}
-
-/// The request's correlation ID — the same policy as `dsp-serve`, so
-/// an ID minted here is accepted verbatim by the replica and the
-/// client, the router, and the replica's `/debug/trace` all see one
-/// ID: a client-supplied `X-Request-Id` (sanitized) wins; otherwise
-/// the trace ID is minted into one.
-fn request_id(request: &Request, root: SpanCtx) -> Option<String> {
-    let client: Option<String> = request.header("x-request-id").map(|v| {
-        v.chars()
-            .filter(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | ':'))
-            .take(64)
-            .collect()
-    });
-    match client {
-        Some(id) if !id.is_empty() => Some(id),
-        _ if root.trace != 0 => Some(format!("{:016x}", root.trace)),
-        _ => None,
-    }
-}
-
-fn route(
-    shared: &Arc<Shared>,
-    request: &Request,
-    root: SpanCtx,
-    req_id: Option<&str>,
-) -> (Response, bool) {
-    match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => (
-            Response::json(200, "{\"status\": \"ok\"}\n".to_string()),
-            false,
-        ),
-        // The router is ready when it can route somewhere.
-        ("GET", "/readyz") => {
-            let ready = shared.set.ready_count();
-            if ready == 0 {
-                (Response::error(503, "no upstream replica is ready"), false)
-            } else {
-                (
-                    Response::json(
-                        200,
-                        format!("{{\"status\": \"ready\", \"upstreams\": {ready}}}\n"),
-                    ),
-                    false,
-                )
-            }
-        }
-        ("GET", "/metrics") => {
-            let text = shared.metrics.render(
-                &shared.set,
-                &shared.budget,
-                shared.queue.len(),
-                shared.config.queue_capacity,
-            );
-            (Response::text(200, &text), false)
-        }
-        ("GET", "/replicas") => (replicas_response(shared), false),
-        ("GET", "/debug/trace") => (handle_debug_trace(shared, &request.query), false),
-        ("POST", "/compile") => (proxy_compile(shared, request, root, req_id), false),
-        ("POST", "/admin/shutdown") => (
-            Response::json(200, "{\"status\": \"draining\"}\n".to_string()),
-            true,
-        ),
-        (
-            _,
-            "/healthz" | "/readyz" | "/metrics" | "/replicas" | "/debug/trace" | "/compile"
-            | "/sweep" | "/admin/shutdown",
-        ) => (
-            Response::error(405, "method not allowed for this path"),
-            false,
-        ),
-        _ => (Response::error(404, "no such endpoint"), false),
-    }
-}
-
 /// `GET /replicas`: the fleet as the router sees it.
-fn replicas_response(shared: &Shared) -> Response {
+fn replicas_response(shared: &RouterState) -> Response {
     let mut body = String::from("{\"schema\": \"dualbank-router-replicas/v1\", \"replicas\": [");
     for i in 0..shared.set.len() {
         if i > 0 {
@@ -566,32 +356,6 @@ fn replicas_response(shared: &Shared) -> Response {
             json::escape(shared.set.addr(i)),
             shared.set.is_up(i),
         ));
-    }
-    body.push_str("]}\n");
-    Response::json(200, body)
-}
-
-fn handle_debug_trace(shared: &Shared, query: &str) -> Response {
-    if !shared.tracer.is_enabled() {
-        return Response::error(404, "tracing is disabled on this router");
-    }
-    let n = query
-        .split('&')
-        .find_map(|pair| {
-            let (k, v) = pair.split_once('=')?;
-            (k == "n").then_some(v)
-        })
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(256)
-        .clamp(1, 4096);
-    let spans = shared.tracer.snapshot(n);
-    let mut body = String::with_capacity(64 + spans.len() * 192);
-    body.push_str("{\"schema\": \"dualbank-trace/v1\", \"dropped\": ");
-    body.push_str(&shared.tracer.dropped().to_string());
-    body.push_str(", \"spans\": [");
-    for (i, s) in spans.iter().enumerate() {
-        body.push_str(if i == 0 { "\n" } else { ",\n" });
-        body.push_str(&dsp_trace::export::span_json(s));
     }
     body.push_str("]}\n");
     Response::json(200, body)
@@ -621,7 +385,7 @@ enum Attempt {
 /// the pool would spray cache affinity across the fleet and eject
 /// healthy replicas.
 fn attempt_exchange(
-    shared: &Shared,
+    shared: &RouterState,
     idx: usize,
     path: &str,
     req_id: Option<&str>,
@@ -721,7 +485,7 @@ fn attempt_exchange(
 }
 
 /// Spend a retry token (after backoff) or report the budget empty.
-fn take_retry_token(shared: &Shared, attempt: usize) -> bool {
+fn take_retry_token(shared: &RouterState, attempt: usize) -> bool {
     if !shared.budget.try_withdraw() {
         shared
             .metrics
@@ -764,7 +528,7 @@ fn compile_shard_key(body: &[u8]) -> u64 {
 /// failures to the next ring candidate, never double-send after the
 /// first response byte.
 fn proxy_compile(
-    shared: &Arc<Shared>,
+    shared: &RouterState,
     request: &Request,
     root: SpanCtx,
     req_id: Option<&str>,
@@ -817,7 +581,7 @@ fn proxy_compile(
 
 /// Re-emit an upstream response to the client, tagged with the
 /// replica that served it.
-fn forward_response(shared: &Shared, idx: usize, upstream: &ClientResponse) -> Response {
+fn forward_response(shared: &RouterState, idx: usize, upstream: &ClientResponse) -> Response {
     let body = String::from_utf8_lossy(&upstream.body).into_owned();
     let is_json = upstream
         .header("content-type")
@@ -903,7 +667,7 @@ fn extract_cell_jobs(doc: &str) -> Result<String, String> {
 /// be replayed even after a response byte was seen — this is what
 /// makes a replica killed mid-sweep recoverable.
 fn fetch_cell(
-    shared: &Shared,
+    shared: &RouterState,
     cell: &Cell,
     root: SpanCtx,
     req_id: Option<&str>,
@@ -968,28 +732,6 @@ fn fetch_cell(
     Err(last_error)
 }
 
-/// How a self-writing handler left the connection.
-struct SweepOutcome {
-    status: u16,
-    io_ok: bool,
-}
-
-fn finish_buffered(
-    resp: Response,
-    req_id: Option<&str>,
-    stream: &mut TcpStream,
-    keep_alive: bool,
-) -> SweepOutcome {
-    let resp = match req_id {
-        Some(id) => resp.with_header("X-Request-Id", id.to_string()),
-        None => resp,
-    };
-    SweepOutcome {
-        status: resp.status,
-        io_ok: resp.write_to(stream, keep_alive).is_ok(),
-    }
-}
-
 /// The fan-in state shared between cell-fetching workers and the
 /// response writer: a slot per cell (filled out of order) and a
 /// cursor handing cells to workers.
@@ -1046,41 +788,38 @@ impl FanIn {
 /// document. Its deterministic projection is byte-identical to a
 /// single node's.
 fn handle_sweep(
-    shared: &Arc<Shared>,
+    shared: &RouterState,
     request: &Request,
-    stream: &mut TcpStream,
-    keep_alive: bool,
+    reply: Reply<'_>,
     root: SpanCtx,
-    req_id: Option<&str>,
 ) -> SweepOutcome {
     shared.budget.earn();
     let sweep = match parse_sweep_targets(&request.body) {
         Ok(t) => t,
-        Err(resp) => return finish_buffered(resp, req_id, stream, keep_alive),
+        Err(resp) => return reply.finish_buffered(resp),
     };
-    let (benches, strategies) = (sweep.benches, sweep.strategies);
     if shared.set.ring().is_empty() {
         shared
             .metrics
             .no_upstream_total
             .fetch_add(1, Ordering::Relaxed);
-        return finish_buffered(
-            Response::error(503, "no upstream replica is ready"),
-            req_id,
-            stream,
-            keep_alive,
-        );
+        return reply.finish_buffered(Response::error(503, "no upstream replica is ready"));
     }
     let source_mode = std::str::from_utf8(&request.body)
         .ok()
         .and_then(|s| json::parse(s).ok())
         .is_some_and(|v| v.get("source").is_some());
-    let cells = decompose_cells(source_mode, &benches, &strategies, sweep.partitioner);
+    let cells = decompose_cells(
+        source_mode,
+        &sweep.benches,
+        &sweep.strategies,
+        sweep.partitioner,
+    );
     let started = Instant::now();
+    let req_id = reply.req_id;
 
     let fan = FanIn::new(cells.len());
     let workers = shared.config.fanout.clamp(1, cells.len());
-    let mut outcome: Option<SweepOutcome> = None;
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
@@ -1090,133 +829,82 @@ fn handle_sweep(
                 }
             });
         }
-        outcome = Some(write_sweep_response(
+        let outcome = write_sweep(
             shared,
-            request,
-            stream,
-            keep_alive,
-            req_id,
-            &strategies,
-            &cells,
+            request.http1_0,
+            reply,
             &fan,
+            cells.len(),
+            &sweep.strategies,
             started,
-        ));
-        // Writers done (or aborted): stop handing out cells so the
+        );
+        // Writer done (or aborted): stop handing out cells so the
         // scope can join its workers.
         fan.stop.store(true, Ordering::SeqCst);
-    });
-    outcome.expect("writer ran inside the scope")
+        outcome
+    })
 }
 
-/// The writer half of the sweep fan-in: consume cell slots in matrix
-/// order and stream the document. Split from [`handle_sweep`] so the
-/// scope body stays readable.
-#[allow(clippy::too_many_arguments)]
-fn write_sweep_response(
-    shared: &Arc<Shared>,
-    request: &Request,
-    stream: &mut TcpStream,
-    keep_alive: bool,
-    req_id: Option<&str>,
-    strategies: &[Strategy],
-    cells: &[Cell],
+/// The writer half of the sweep fan-in: consume the `n` cell slots in
+/// matrix order and write the document, streamed to HTTP/1.1 peers and
+/// buffered for HTTP/1.0 ones.
+fn write_sweep(
+    shared: &RouterState,
+    http1_0: bool,
+    reply: Reply<'_>,
     fan: &FanIn,
+    n: usize,
+    strategies: &[Strategy],
     started: Instant,
 ) -> SweepOutcome {
     // Like a single node, the first cell decides the status line.
     let first = match fan.take(0) {
         Ok(jobs) => jobs,
         Err(e) => {
-            fan.stop.store(true, Ordering::SeqCst);
-            return finish_buffered(
-                Response::error(502, &format!("sweep failed: {e}")),
-                req_id,
-                stream,
-                keep_alive,
-            );
+            return reply.finish_buffered(Response::error(502, &format!("sweep failed: {e}")))
         }
     };
     let prefix = sweep_json_prefix(shared.set.ready_count().max(1), strategies);
-
-    if request.http1_0 {
-        // Buffered fallback for HTTP/1.0 peers: same document.
-        let mut jobs = vec![first];
-        let mut truncated = false;
-        for i in 1..cells.len() {
-            match fan.take(i) {
-                Ok(j) => jobs.push(j),
-                Err(_) => {
-                    truncated = true;
-                    shared
-                        .metrics
-                        .sweep_truncations_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
+    // A cell that failed every allowed attempt ends the document: the
+    // status line is already decided, so it closes honestly with
+    // `"truncated": true` — exactly like a single node hitting its
+    // deadline mid-stream.
+    let next = |i: usize| {
+        let cell = fan.take(i);
+        if cell.is_err() {
+            shared
+                .metrics
+                .sweep_truncations_total
+                .fetch_add(1, Ordering::Relaxed);
         }
-        let body = format!(
-            "{prefix}{}{}",
-            jobs.join(",\n"),
-            sweep_json_tail(started.elapsed(), &CacheStats::default(), truncated)
-        );
-        return finish_buffered(Response::json(200, body), req_id, stream, keep_alive);
+        cell.ok()
+    };
+    let tail = |truncated| sweep_json_tail(started.elapsed(), &CacheStats::default(), truncated);
+
+    if http1_0 {
+        let mut jobs = vec![first];
+        jobs.extend((1..n).map_while(next));
+        let body = format!("{prefix}{}{}", jobs.join(",\n"), tail(jobs.len() < n));
+        return reply.finish_buffered(Response::json(200, body));
     }
 
-    let extra: Vec<(&str, String)> = req_id
-        .iter()
-        .map(|id| ("X-Request-Id", (*id).to_string()))
-        .collect();
-    let mut writer = match ChunkedWriter::start(stream, 200, "application/json", keep_alive, &extra)
-    {
-        Ok(w) => w,
-        Err(_) => {
-            return SweepOutcome {
-                status: 200,
-                io_ok: false,
-            }
-        }
+    let Ok(mut writer) = reply.chunked() else {
+        return SweepOutcome::BROKEN;
     };
-    let mut truncated = false;
+    let mut sent = 1;
     let mut io = writer
         .chunk(prefix.as_bytes())
         .and_then(|()| writer.chunk(first.as_bytes()));
-    if io.is_ok() {
-        for i in 1..cells.len() {
-            match fan.take(i) {
-                Ok(jobs) => {
-                    io = writer.chunk(format!(",\n{jobs}").as_bytes());
-                    if io.is_err() {
-                        break;
-                    }
-                }
-                Err(_) => {
-                    // A cell failed every allowed attempt; the status
-                    // line is already on the wire, so close the
-                    // document honestly — exactly like a single node
-                    // hitting its deadline mid-stream.
-                    truncated = true;
-                    shared
-                        .metrics
-                        .sweep_truncations_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
+    while io.is_ok() && sent < n {
+        let Some(jobs) = next(sent) else { break };
+        io = writer.chunk(format!(",\n{jobs}").as_bytes());
+        sent += 1;
     }
-    if io.is_err() {
-        return SweepOutcome {
-            status: 200,
-            io_ok: false,
-        };
-    }
-    let tail = sweep_json_tail(started.elapsed(), &CacheStats::default(), truncated);
-    if writer.chunk(tail.as_bytes()).is_err() {
-        return SweepOutcome {
-            status: 200,
-            io_ok: false,
-        };
+    if io
+        .and_then(|()| writer.chunk(tail(sent < n).as_bytes()))
+        .is_err()
+    {
+        return SweepOutcome::BROKEN;
     }
     SweepOutcome {
         status: 200,
@@ -1297,5 +985,14 @@ mod tests {
     #[test]
     fn binding_requires_replicas() {
         assert!(Router::bind(RouterConfig::default()).is_err());
+        // A zero accept queue is refused as a bad field, not a panic.
+        let zero_queue = RouterConfig {
+            replicas: vec!["127.0.0.1:1".to_string()],
+            queue_capacity: 0,
+            ..RouterConfig::default()
+        };
+        let err = Router::bind(zero_queue).err().expect("zero queue refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("queue_capacity"), "{err}");
     }
 }

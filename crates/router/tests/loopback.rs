@@ -506,6 +506,57 @@ fn request_ids_survive_the_proxy_hop_end_to_end() {
         "replica trace must carry the router-minted ID {minted}"
     );
 
+    // Only a replica tags its responses with `X-Dsp-Replica`: on
+    // `/compile`, and on `/sweep` streamed or buffered (HTTP/1.0). The
+    // router's own answers never carry it; a routed `/compile` carries
+    // the serving replica's tag, forwarded.
+    let sweep = format!(
+        "{{\"source\": {}, \"strategies\": [\"cb\"]}}",
+        dsp_driver::json::escape(FIR_SRC)
+    );
+    let buffered = format!(
+        "POST /sweep HTTP/1.0\r\nContent-Length: {}\r\n\r\n{sweep}",
+        sweep.len()
+    );
+    let streamed = r1
+        .connect()
+        .request("POST", "/sweep", Some(&sweep))
+        .expect("streamed sweep");
+    let buffered = r1.connect().raw(buffered.as_bytes()).expect("buffered");
+    for resp in [&streamed, &buffered] {
+        assert_eq!(resp.status, 200, "{}", resp.text());
+        assert_eq!(resp.header("x-dsp-replica"), Some("r1"));
+    }
+    assert!(streamed.header("transfer-encoding").is_some());
+    assert!(buffered.header("content-length").is_some());
+    let routed_sweep = conn
+        .request("POST", "/sweep", Some(&sweep))
+        .expect("routed sweep");
+    assert_eq!(routed_sweep.status, 200);
+    let health = conn.request("GET", "/healthz", None).expect("healthz");
+    for resp in [&routed_sweep, &health] {
+        assert_eq!(resp.header("x-dsp-replica"), None, "{}", resp.text());
+    }
+
+    // An incoming `X-Dsp-Traceparent` is adopted by a replica (its root
+    // span, and so its minted request ID, joins that trace) and
+    // ignored by the router, whose `router.request` starts afresh.
+    let parent = [("X-Dsp-Traceparent", "00000000deadbeef-0000000000000001")];
+    let adopted = "\"trace\": \"00000000deadbeef\"";
+    for (hop, node, adopts) in [("replica", r1.addr, true), ("router", router.addr, false)] {
+        let mut conn = ClientConn::connect(node, Duration::from_secs(30)).expect("connect");
+        let resp = conn
+            .exchange("GET", "/healthz", &parent, None)
+            .expect("healthz with a traceparent");
+        let id = resp.header("x-request-id").expect("minted id");
+        assert_eq!(id == "00000000deadbeef", adopts, "{hop} minted {id}");
+        let trace = conn
+            .request("GET", "/debug/trace?n=4096", None)
+            .expect("trace")
+            .text();
+        assert_eq!(trace.contains(adopted), adopts, "{hop}: {trace}");
+    }
+
     router.stop();
     r1.stop();
     r2.stop();

@@ -397,7 +397,7 @@ impl<'a> ChunkedWriter<'a> {
         status: u16,
         content_type: &str,
         keep_alive: bool,
-        extra_headers: &[(&str, String)],
+        extra_headers: &[(&str, &str)],
     ) -> io::Result<ChunkedWriter<'a>> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nTransfer-Encoding: chunked\r\nConnection: {}\r\n",

@@ -19,6 +19,21 @@
 //! byte-identical to the buffered report (HTTP/1.0 clients get the
 //! buffered fallback).
 //!
+//! # Modules
+//!
+//! * [`front`] — the HTTP front-end this crate shares with `dsp-router`:
+//!   bind, accept loop with `503` backpressure, bounded connection
+//!   queue, connection workers, the keep-alive loop with its
+//!   400/408/413 answers, request IDs, root spans, request counters,
+//!   `GET /debug/trace` and graceful shutdown, generic over a
+//!   [`front::Service`].
+//! * [`server`] — the compile-and-simulate service behind it
+//!   ([`Server`], [`ServerConfig`]): routes, `/sweep` streaming, drain.
+//! * [`http`] — request reading and response writing.
+//! * [`queue`] — the bounded connection queue.
+//! * [`metrics`] — the `dsp_serve_*` Prometheus families.
+//! * [`client`] — the blocking HTTP client the router and tests use.
+//!
 //! # Endpoints
 //!
 //! | Endpoint | Meaning |
@@ -86,6 +101,7 @@
 //! ```
 
 pub mod client;
+pub mod front;
 pub mod http;
 pub mod metrics;
 pub mod queue;

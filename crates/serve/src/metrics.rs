@@ -13,37 +13,40 @@
 //! histograms, and is absent entirely when tracing is disabled —
 //! mirroring how the disk-cache families are absent without a store.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 use dsp_driver::{CacheStats, ExecutorStats, Tracer};
 use dsp_trace::expo::{Exposition, Kind};
 use dsp_trace::families;
 
+use crate::front::Counters;
+
+/// Path → endpoint label of every path the server answers.
+pub const ENDPOINTS: &[(&str, &str)] = &[
+    ("/compile", "compile"),
+    ("/sweep", "sweep"),
+    ("/healthz", "healthz"),
+    ("/readyz", "readyz"),
+    ("/metrics", "metrics"),
+    ("/debug/trace", "trace"),
+    ("/admin/shutdown", "shutdown"),
+];
+
 /// All server counters.
 pub struct Metrics {
     started: Instant,
-    /// Requests by (normalized endpoint, status code).
-    requests: Mutex<BTreeMap<(&'static str, u16), u64>>,
-    /// Connections accepted (including ones later rejected with 503).
-    pub connections_total: AtomicU64,
-    /// Connections answered 503 because the queue was full.
-    pub rejected_total: AtomicU64,
+    /// The front-end's counters: requests by endpoint and status,
+    /// connections, 503s, 408s, busy workers. Its tracer is the
+    /// source of the latency histogram families (request, queue wait,
+    /// stage).
+    pub front: Counters,
     /// Compute requests answered 504 (deadline exceeded).
     pub timeouts_total: AtomicU64,
     /// Streamed sweeps cut short by their deadline after the first
     /// result was already on the wire (`"truncated": true` tail).
     pub truncations_total: AtomicU64,
-    /// Requests aborted because their bytes trickled in past the
-    /// whole-request read deadline (answered 408).
-    pub read_deadline_total: AtomicU64,
-    /// Workers currently handling a connection.
-    pub workers_busy: AtomicUsize,
-    /// The server's shared tracer — source of the latency histogram
-    /// families (request, queue wait, stage).
-    tracer: Arc<Tracer>,
 }
 
 impl Metrics {
@@ -54,68 +57,10 @@ impl Metrics {
     pub fn new(tracer: Arc<Tracer>) -> Metrics {
         Metrics {
             started: Instant::now(),
-            requests: Mutex::new(BTreeMap::new()),
-            connections_total: AtomicU64::new(0),
-            rejected_total: AtomicU64::new(0),
+            front: Counters::new(tracer),
             timeouts_total: AtomicU64::new(0),
             truncations_total: AtomicU64::new(0),
-            read_deadline_total: AtomicU64::new(0),
-            workers_busy: AtomicUsize::new(0),
-            tracer,
         }
-    }
-
-    /// Normalize a request path to a bounded endpoint label (unknown
-    /// paths collapse into `other` so label cardinality stays fixed).
-    #[must_use]
-    pub fn endpoint_label(path: &str) -> &'static str {
-        match path {
-            "/compile" => "compile",
-            "/sweep" => "sweep",
-            "/healthz" => "healthz",
-            "/readyz" => "readyz",
-            "/metrics" => "metrics",
-            "/debug/trace" => "trace",
-            "/admin/shutdown" => "shutdown",
-            _ => "other",
-        }
-    }
-
-    /// Count one finished request and feed its latency to the tracer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request-map mutex is poisoned.
-    pub fn record_request(&self, endpoint: &'static str, status: u16, latency: Duration) {
-        *self
-            .requests
-            .lock()
-            .expect("metrics mutex poisoned")
-            .entry((endpoint, status))
-            .or_insert(0) += 1;
-        if self.tracer.is_enabled() {
-            self.tracer.observe(
-                families::HTTP_REQUEST,
-                &format!("{endpoint}|{status}"),
-                latency,
-            );
-        }
-    }
-
-    /// Total requests recorded for `endpoint` (any status).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request-map mutex is poisoned.
-    #[must_use]
-    pub fn requests_for(&self, endpoint: &str) -> u64 {
-        self.requests
-            .lock()
-            .expect("metrics mutex poisoned")
-            .iter()
-            .filter(|((e, _), _)| *e == endpoint)
-            .map(|(_, n)| *n)
-            .sum()
     }
 
     /// Render the Prometheus text format. `queue_depth`,
@@ -176,7 +121,7 @@ impl Metrics {
             (
                 "dsp_serve_workers_busy",
                 "Workers currently handling a connection.",
-                self.workers_busy.load(Ordering::Relaxed),
+                self.front.workers_busy.load(Ordering::Relaxed),
             ),
         ] {
             x.single(name, Gauge, help, n);
@@ -191,12 +136,12 @@ impl Metrics {
             (
                 "dsp_serve_connections_total",
                 "TCP connections accepted.",
-                load(&self.connections_total),
+                load(&self.front.connections_total),
             ),
             (
                 "dsp_serve_rejected_total",
                 "Connections answered 503 because the queue was full.",
-                load(&self.rejected_total),
+                load(&self.front.rejected_total),
             ),
             (
                 "dsp_serve_deadline_timeouts_total",
@@ -211,23 +156,17 @@ impl Metrics {
             (
                 "dsp_serve_read_deadline_total",
                 "Requests whose bytes trickled past the read deadline (408).",
-                load(&self.read_deadline_total),
+                load(&self.front.read_deadline_total),
             ),
         ] {
             x.single(name, Counter, help, n);
         }
 
-        let name = "dsp_serve_requests_total";
-        x.family(
-            name,
-            Counter,
+        self.front.render_requests(
+            &mut x,
+            "dsp_serve_requests_total",
             "Finished HTTP requests by endpoint and status.",
         );
-        for ((endpoint, status), n) in self.requests.lock().expect("metrics mutex poisoned").iter()
-        {
-            let status = status.to_string();
-            x.sample(name, &[("endpoint", endpoint), ("status", &status)], n);
-        }
 
         for (name, kind, help, layers) in [
             (
@@ -390,14 +329,14 @@ impl Metrics {
         // family with no observations yet is omitted, like an endpoint
         // that has seen no requests.
         x.tracer_family(
-            &self.tracer,
+            self.front.tracer(),
             families::HTTP_REQUEST,
             "dsp_serve_http_request_seconds",
             "End-to-end HTTP request latency by endpoint and status.",
             &["endpoint", "status"],
         );
         x.tracer_family(
-            &self.tracer,
+            self.front.tracer(),
             families::QUEUE_WAIT,
             "dsp_serve_exec_queue_wait_seconds",
             "Executor queue wait (submit to dequeue) by priority class.",
@@ -406,7 +345,7 @@ impl Metrics {
         // The partition stage carries its algorithm in the flat label
         // ("partition|fm"): it renders as a second Prometheus label.
         x.tracer_family(
-            &self.tracer,
+            self.front.tracer(),
             families::STAGE,
             "dsp_serve_stage_seconds",
             "Compile/simulate pipeline stage duration (fresh computes only).",
@@ -425,13 +364,16 @@ impl Default for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn render_contains_all_families() {
         let m = Metrics::new(Tracer::disabled());
-        m.record_request("compile", 200, Duration::from_millis(3));
-        m.record_request("healthz", 200, Duration::from_micros(10));
-        m.rejected_total.fetch_add(2, Ordering::Relaxed);
+        m.front
+            .record_request("compile", 200, Duration::from_millis(3));
+        m.front
+            .record_request("healthz", 200, Duration::from_micros(10));
+        m.front.rejected_total.fetch_add(2, Ordering::Relaxed);
         let exec = ExecutorStats {
             workers: 2,
             executed_interactive: 5,
@@ -514,10 +456,11 @@ mod tests {
 
     #[test]
     fn unknown_paths_collapse_to_other() {
-        assert_eq!(Metrics::endpoint_label("/compile"), "compile");
-        assert_eq!(Metrics::endpoint_label("/nope"), "other");
-        assert_eq!(Metrics::endpoint_label("/compile/x"), "other");
-        assert_eq!(Metrics::endpoint_label("/debug/trace"), "trace");
+        use crate::front::endpoint_label;
+        assert_eq!(endpoint_label(ENDPOINTS, "/compile"), "compile");
+        assert_eq!(endpoint_label(ENDPOINTS, "/nope"), "other");
+        assert_eq!(endpoint_label(ENDPOINTS, "/compile/x"), "other");
+        assert_eq!(endpoint_label(ENDPOINTS, "/debug/trace"), "trace");
     }
 
     fn render_default(m: &Metrics) -> String {
@@ -537,8 +480,10 @@ mod tests {
     fn trace_families_render_with_an_enabled_tracer() {
         let tracer = Tracer::new(64);
         let m = Metrics::new(Arc::clone(&tracer));
-        m.record_request("sweep", 200, Duration::from_millis(3));
-        m.record_request("sweep", 429, Duration::from_micros(40));
+        m.front
+            .record_request("sweep", 200, Duration::from_millis(3));
+        m.front
+            .record_request("sweep", 429, Duration::from_micros(40));
         tracer.observe(
             dsp_trace::families::QUEUE_WAIT,
             "interactive",
@@ -575,8 +520,10 @@ mod tests {
     fn trace_histogram_buckets_are_monotone_and_sum_matches() {
         let tracer = Tracer::new(64);
         let m = Metrics::new(Arc::clone(&tracer));
-        m.record_request("compile", 200, Duration::from_micros(300));
-        m.record_request("compile", 200, Duration::from_millis(12));
+        m.front
+            .record_request("compile", 200, Duration::from_micros(300));
+        m.front
+            .record_request("compile", 200, Duration::from_millis(12));
         let text = render_default(&m);
         let prefix = "dsp_serve_http_request_seconds_bucket{endpoint=\"compile\",status=\"200\"";
         let mut last = 0u64;
@@ -612,16 +559,20 @@ mod tests {
     fn exposition_matches_the_golden_file() {
         let tracer = Tracer::new(64);
         let m = Metrics::new(Arc::clone(&tracer));
-        m.record_request("compile", 200, Duration::from_millis(3));
-        m.record_request("compile", 200, Duration::from_micros(300));
-        m.record_request("sweep", 429, Duration::from_micros(40));
-        m.record_request("healthz", 200, Duration::from_micros(10));
-        m.connections_total.store(7, Ordering::Relaxed);
-        m.rejected_total.store(2, Ordering::Relaxed);
+        m.front
+            .record_request("compile", 200, Duration::from_millis(3));
+        m.front
+            .record_request("compile", 200, Duration::from_micros(300));
+        m.front
+            .record_request("sweep", 429, Duration::from_micros(40));
+        m.front
+            .record_request("healthz", 200, Duration::from_micros(10));
+        m.front.connections_total.store(7, Ordering::Relaxed);
+        m.front.rejected_total.store(2, Ordering::Relaxed);
         m.timeouts_total.store(1, Ordering::Relaxed);
         m.truncations_total.store(1, Ordering::Relaxed);
-        m.read_deadline_total.store(1, Ordering::Relaxed);
-        m.workers_busy.store(1, Ordering::Relaxed);
+        m.front.read_deadline_total.store(1, Ordering::Relaxed);
+        m.front.workers_busy.store(1, Ordering::Relaxed);
         tracer.observe(
             families::QUEUE_WAIT,
             "interactive",
@@ -668,7 +619,8 @@ mod tests {
     #[test]
     fn trace_families_absent_when_tracing_disabled() {
         let m = Metrics::new(Tracer::disabled());
-        m.record_request("sweep", 200, Duration::from_millis(3));
+        m.front
+            .record_request("sweep", 200, Duration::from_millis(3));
         let text = render_default(&m);
         for family in [
             "dsp_serve_http_request_seconds",

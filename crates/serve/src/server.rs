@@ -1,49 +1,35 @@
-//! The server: accept loop → bounded queue → connection workers →
-//! shared compute executor.
+//! The server: the shared HTTP front-end ([`crate::front`]) in front of
+//! the shared compute executor.
 //!
 //! ```text
-//!             ┌─────────────┐   try_push    ┌──────────────────┐
-//!  clients ──▶│ accept loop │──────────────▶│ BoundedQueue<Tcp> │
-//!             │ (run thread)│  full → 503   └────────┬─────────┘
-//!             └─────────────┘                        │ pop
-//!                                     ┌──────────────▼─────────────┐
-//!                                     │ workers: parse HTTP, route │
-//!                                     │ submit jobs, stream results│
-//!                                     └──────────────┬─────────────┘
-//!                                         submit     │  wait/stream
-//!                                     ┌──────────────▼─────────────┐
-//!                                     │  dsp-exec shared executor  │
-//!                                     │ /compile = Interactive     │
-//!                                     │ /sweep cells = Batch       │
-//!                                     └──────────────┬─────────────┘
-//!                                                    ▼
-//!                                        dsp-driver Engine + cache
-//!                                          (shared via Arc)
+//!   clients ──▶ front-end: accept loop → bounded queue → workers
+//!                                     │  submit     ▲ wait/stream
+//!                       ┌─────────────▼─────────────┴┐
+//!                       │  dsp-exec shared executor  │
+//!                       │ /compile = Interactive     │
+//!                       │ /sweep cells = Batch       │
+//!                       └─────────────┬──────────────┘
+//!                                     ▼
+//!                         dsp-driver Engine + cache
+//!                           (shared via Arc)
 //! ```
 //!
-//! Each queued item is one TCP connection; a worker owns it for its
-//! keep-alive lifetime (bounded by the read timeout). Connection
-//! workers never compile inline: compute requests are decomposed into
-//! per-cell jobs on the process-wide [`Executor`] — `/compile` at
-//! [`Priority::Interactive`] so it jumps queued sweep work, `/sweep`
-//! cells at [`Priority::Batch`]. The worker waits on job handles under
-//! the request deadline; a `/sweep` to an HTTP/1.1 peer streams its
-//! `jobs[]` array back with `Transfer-Encoding: chunked` as cells
-//! finish, in matrix order. On deadline, still-queued cells are
+//! Connection workers never compile inline: compute requests are
+//! decomposed into per-cell jobs on the process-wide [`Executor`] —
+//! `/compile` at [`Priority::Interactive`] so it jumps queued sweep
+//! work, `/sweep` cells at [`Priority::Batch`]. The worker waits on job
+//! handles under the request deadline; a `/sweep` to an HTTP/1.1 peer
+//! streams its `jobs[]` array back with `Transfer-Encoding: chunked` as
+//! cells finish, in matrix order. On deadline, still-queued cells are
 //! cancelled out of the executor; a sweep that already streamed output
 //! closes the document with `"truncated": true`, and only a request
 //! with nothing on the wire yet gets a 504.
 //!
-//! Graceful shutdown (the `/admin/shutdown` endpoint or
-//! [`ServerHandle::shutdown`]) stops the accept loop, closes the
-//! queue, lets workers drain queued connections, and joins them. A
-//! keep-alive connection idle between requests closes at once rather
-//! than holding its worker for the read timeout; a request that has
-//! begun to arrive, or a queued connection's first request, is still
-//! answered.
+//! `/admin/shutdown` withdraws readiness first (`/readyz` → 503), keeps
+//! serving for [`ServerConfig::drain_grace`], then shuts the front-end
+//! down.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,17 +39,14 @@ use std::time::{Duration, Instant};
 use dsp_backend::{CompileConfig, PartitionerKind, Strategy};
 use dsp_driver::json::{self, ObjectWriter, Value};
 use dsp_driver::{
-    sweep_json_prefix, sweep_json_tail, CancelToken, Engine, EngineOptions, Executor, JobReport,
-    MatrixRun, Priority, SpanCtx, Tracer, WaitOutcome,
+    sweep_json_prefix, sweep_json_tail, CancelToken, Engine, EngineOptions, Executor, MatrixRun,
+    Priority, SpanCtx, WaitOutcome,
 };
 use dsp_workloads::{Benchmark, Kind};
 
-use crate::http::{
-    await_request, poll_slice, read_request_deadline, ChunkedWriter, Request, RequestError,
-    Response,
-};
+use crate::front::{Bound, Counters, Front, Handle, Reply, Service, Settings, SweepOutcome};
+use crate::http::{Request, Response};
 use crate::metrics::Metrics;
-use crate::queue::{BoundedQueue, PushError};
 
 /// Everything tunable about a server.
 #[derive(Debug, Clone)]
@@ -151,51 +134,21 @@ impl Default for ServerConfig {
     }
 }
 
-struct Shared {
+/// A bound, not-yet-running server.
+pub type Server = Bound<ServeState>;
+
+/// Remote control for a running [`Server`] (cloneable, thread-safe).
+pub type ServerHandle = Handle<ServeState>;
+
+/// What a server adds to the shared front-end: the engine, its
+/// metrics, and readiness.
+pub struct ServeState {
     config: ServerConfig,
     engine: Engine,
-    queue: BoundedQueue<TcpStream>,
     metrics: Metrics,
-    tracer: Arc<Tracer>,
-    shutdown: AtomicBool,
     /// Readiness is withdrawn (`/readyz` → 503) ahead of the actual
     /// shutdown so a drain window can exist between the two.
     draining: AtomicBool,
-    workers: usize,
-}
-
-/// A bound, not-yet-running server.
-pub struct Server {
-    listener: TcpListener,
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-}
-
-/// Remote control for a running [`Server`] (cloneable, thread-safe).
-#[derive(Clone)]
-pub struct ServerHandle {
-    shared: Arc<Shared>,
-    addr: SocketAddr,
-}
-
-impl ServerHandle {
-    /// The server's bound address.
-    #[must_use]
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Begin a graceful shutdown: stop accepting, drain queued and
-    /// in-flight requests, then let [`Server::run`] return. Idempotent.
-    pub fn shutdown(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        self.shared.queue.close();
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-    }
 }
 
 impl Server {
@@ -204,67 +157,52 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures.
+    /// Propagates bind failures; `InvalidInput` for a zero
+    /// `queue_capacity`.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        let workers = if config.workers == 0 {
-            std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
-        } else {
-            config.workers
+        let settings = Settings {
+            addr: &config.addr,
+            workers: config.workers,
+            queue_capacity: config.queue_capacity,
+            max_body: config.max_body,
+            read_timeout: config.read_timeout,
+            read_deadline: config.read_deadline,
+            trace: config.trace,
         };
-        // One tracer feeds every layer: request spans here, queue-wait
-        // spans in the executor, stage spans in the engine, histogram
-        // families in `/metrics`. Disabled = the no-op recorder.
-        let tracer = if config.trace {
-            Tracer::new(8192)
-        } else {
-            Tracer::disabled()
-        };
-        dsp_trace::log::route_events_to(&tracer);
-        // One machine-sized executor for every compute job in the
-        // process; connection workers only parse, submit, and stream.
-        let exec = Arc::new(Executor::with_tracer(config.jobs, Arc::clone(&tracer)));
-        let engine = Engine::with_executor(
-            EngineOptions {
-                fuel: config.fuel,
-                cache_capacity: config.cache_capacity,
-                cache_max_bytes: config.cache_max_bytes,
-                cache_dir: config.cache_dir.clone(),
-                cache_disk_max_bytes: config.cache_disk_max_bytes,
-                tracer: Arc::clone(&tracer),
-                ..EngineOptions::default()
-            },
-            exec,
-        );
-        let queue = BoundedQueue::new(config.queue_capacity);
-        Ok(Server {
-            listener,
-            local_addr,
-            shared: Arc::new(Shared {
-                config,
+        Bound::open(&settings, |tracer| {
+            // One tracer feeds every layer: request spans in the
+            // front-end, queue-wait spans in the executor, stage spans
+            // in the engine, histogram families in `/metrics`.
+            dsp_trace::log::route_events_to(tracer);
+            // One machine-sized executor for every compute job in the
+            // process; connection workers only parse, submit, and stream.
+            let exec = Arc::new(Executor::with_tracer(config.jobs, Arc::clone(tracer)));
+            let engine = Engine::with_executor(
+                EngineOptions {
+                    fuel: config.fuel,
+                    cache_capacity: config.cache_capacity,
+                    cache_max_bytes: config.cache_max_bytes,
+                    cache_dir: config.cache_dir.clone(),
+                    cache_disk_max_bytes: config.cache_disk_max_bytes,
+                    tracer: Arc::clone(tracer),
+                    ..EngineOptions::default()
+                },
+                exec,
+            );
+            ServeState {
+                metrics: Metrics::new(Arc::clone(tracer)),
+                config: config.clone(),
                 engine,
-                queue,
-                metrics: Metrics::new(Arc::clone(&tracer)),
-                tracer,
-                shutdown: AtomicBool::new(false),
                 draining: AtomicBool::new(false),
-                workers,
-            }),
+            }
         })
-    }
-
-    /// The bound address (useful after binding port 0).
-    #[must_use]
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
     }
 
     /// How many job workers the shared executor runs (resolved from
     /// [`ServerConfig::jobs`], where 0 means all cores).
     #[must_use]
     pub fn executor_workers(&self) -> usize {
-        self.shared.engine.executor().workers()
+        self.service().engine.executor().workers()
     }
 
     /// The persistent store's startup-sweep report, when
@@ -272,336 +210,89 @@ impl Server {
     /// as the warm-start summary.
     #[must_use]
     pub fn disk_sweep(&self) -> Option<&dsp_driver::DiskSweep> {
-        self.shared.engine.cache().store().map(|s| s.sweep())
-    }
-
-    /// A handle for shutting the server down from another thread.
-    #[must_use]
-    pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            shared: Arc::clone(&self.shared),
-            addr: self.local_addr,
-        }
-    }
-
-    /// Serve until a graceful shutdown is requested, then drain and
-    /// return. Runs the accept loop on the calling thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept-loop transport failures (individual
-    /// per-connection errors are handled, not propagated).
-    pub fn run(self) -> io::Result<()> {
-        let mut workers = Vec::with_capacity(self.shared.workers);
-        for i in 0..self.shared.workers {
-            let shared = Arc::clone(&self.shared);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("dsp-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))?,
-            );
-        }
-
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else { continue };
-            self.shared
-                .metrics
-                .connections_total
-                .fetch_add(1, Ordering::Relaxed);
-            let _ = stream.set_read_timeout(Some(poll_slice(self.shared.config.read_timeout)));
-            let _ = stream.set_nodelay(true);
-            match self.shared.queue.try_push(stream) {
-                Ok(()) => {}
-                Err(PushError::Full(mut stream)) => {
-                    self.shared
-                        .metrics
-                        .rejected_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    let resp = Response::error(503, "server is at capacity, retry shortly")
-                        .with_header("Retry-After", "1".to_string());
-                    let _ = resp.write_to(&mut stream, false);
-                }
-                Err(PushError::Closed(_)) => break,
-            }
-        }
-
-        // Shutdown: close the queue (idempotent), drain, join.
-        self.shared.queue.close();
-        for w in workers {
-            let _ = w.join();
-        }
-        Ok(())
+        self.service().engine.cache().store().map(|s| s.sweep())
     }
 }
 
-fn worker_loop(shared: &Arc<Shared>) {
-    while let Some(mut stream) = shared.queue.pop() {
-        shared.metrics.workers_busy.fetch_add(1, Ordering::Relaxed);
-        handle_connection(shared, &mut stream);
-        shared.metrics.workers_busy.fetch_sub(1, Ordering::Relaxed);
+impl ServeState {
+    /// Ready for new work: neither draining nor stopping.
+    fn ready(&self, front: &Front) -> bool {
+        !self.draining.load(Ordering::SeqCst) && !front.stopping()
     }
 }
 
-/// Serve one connection for its keep-alive lifetime. Never panics on
-/// peer input: every parse failure maps to a 4xx and a close.
-fn handle_connection(shared: &Arc<Shared>, stream: &mut TcpStream) {
-    let idle = shared.config.read_timeout;
-    let mut between_requests = false;
-    loop {
-        // A connection's first request is awaited by the read alone, so
-        // one accepted before a stop is still answered; between
-        // keep-alive requests a stop closes the connection at once.
-        if between_requests && !await_request(stream, &shared.shutdown, idle) {
-            return;
-        }
-        between_requests = true;
-        let request = match read_request_deadline(
-            stream,
-            shared.config.max_body,
-            Some(idle),
-            shared.config.read_deadline,
-        ) {
-            Ok(r) => r,
-            Err(RequestError::Closed | RequestError::TimedOut | RequestError::Io(_)) => return,
-            Err(RequestError::ReadDeadline) => {
-                shared
-                    .metrics
-                    .read_deadline_total
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ =
-                    Response::error(408, "request read deadline exceeded").write_to(stream, false);
-                return;
-            }
-            Err(RequestError::BodyTooLarge { declared, limit }) => {
-                let msg =
-                    format!("request body of {declared} bytes exceeds the {limit}-byte limit");
-                let _ = Response::error(413, &msg).write_to(stream, false);
-                return;
-            }
-            Err(RequestError::Malformed(why)) => {
-                let _ = Response::error(400, why).write_to(stream, false);
-                return;
-            }
-        };
+impl Service for ServeState {
+    const NOUN: &'static str = "server";
+    const THREADS: &'static str = "dsp-serve";
+    const ROOT_SPAN: (&'static str, &'static str) = ("http.request", "serve");
+    // A router-injected `X-Dsp-Traceparent` is adopted so this
+    // replica's spans join the caller's trace (parented onto its
+    // `router.upstream` span); a malformed value starts a fresh trace.
+    const ADOPT_TRACEPARENT: bool = true;
+    const ENDPOINTS: &'static [(&'static str, &'static str)] = crate::metrics::ENDPOINTS;
 
-        let started = Instant::now();
-        let endpoint = Metrics::endpoint_label(&request.path);
-        // Root span of this request's trace; executor queue-wait and
-        // pipeline-stage spans parent onto it. A router-injected
-        // `X-Dsp-Traceparent` is adopted so this replica's spans join
-        // the caller's trace (parented onto its `router.upstream`
-        // span); a malformed value falls back to a fresh trace. A
-        // no-op when tracing is disabled (ctx stays `SpanCtx::NONE`,
-        // attrs are dropped).
-        let parent = if shared.tracer.is_enabled() {
-            request
-                .header("x-dsp-traceparent")
-                .and_then(dsp_trace::parse_traceparent)
-                .unwrap_or_else(|| shared.tracer.new_trace())
-        } else {
-            SpanCtx::NONE
-        };
-        let mut span = shared.tracer.span("http.request", "serve", parent);
-        let root = span.ctx();
-        let req_id = request_id(&request, root);
-        span.attr("method", &request.method);
-        span.attr("path", &request.path);
-        if let Some(id) = &req_id {
-            span.attr("request_id", id);
-        }
-
-        // `/sweep` writes its own response — chunked for HTTP/1.1
-        // peers — so it bypasses the buffered route path.
-        if request.method == "POST" && request.path == "/sweep" {
-            let keep_alive = request.keep_alive() && !shared.shutdown.load(Ordering::SeqCst);
-            let outcome = handle_sweep(
-                shared,
-                &request,
-                stream,
-                keep_alive,
-                root,
-                req_id.as_deref(),
-            );
-            span.attr("status", &outcome.status.to_string());
-            drop(span);
-            shared
-                .metrics
-                .record_request(endpoint, outcome.status, started.elapsed());
-            if !outcome.io_ok || !keep_alive {
-                return;
-            }
-            continue;
-        }
-
-        let (response, trigger_shutdown) = route(shared, &request, root, req_id.as_deref());
-        let response = match &req_id {
-            Some(id) => response.with_header("X-Request-Id", id.clone()),
-            None => response,
-        };
-        let response = match &shared.config.replica_id {
-            Some(rid) => response.with_header("X-Dsp-Replica", rid.clone()),
-            None => response,
-        };
-        span.attr("status", &response.status.to_string());
-        drop(span);
-        shared
-            .metrics
-            .record_request(endpoint, response.status, started.elapsed());
-
-        let shutting_down = shared.shutdown.load(Ordering::SeqCst) || trigger_shutdown;
-        let keep_alive = request.keep_alive() && !shutting_down;
-        if response.write_to(stream, keep_alive).is_err() {
-            return;
-        }
-        if trigger_shutdown {
-            // After answering: stop accepting and drain — immediately
-            // with no grace, else after the drain window during which
-            // the replica keeps serving but reports not-ready.
-            let handle = ServerHandle {
-                shared: Arc::clone(shared),
-                // Fallback never used in practice; shutdown() only
-                // needs the addr for the accept-loop wakeup. Built
-                // infallibly — no parse/expect on the request path.
-                addr: stream
-                    .local_addr()
-                    .unwrap_or_else(|_| SocketAddr::from(([127, 0, 0, 1], 0))),
-            };
-            let grace = shared.config.drain_grace;
-            if grace.is_zero() {
-                handle.shutdown();
-            } else {
-                std::thread::spawn(move || {
-                    std::thread::sleep(grace);
-                    handle.shutdown();
-                });
-            }
-        }
-        if !keep_alive {
-            return;
-        }
+    fn counters(&self) -> &Counters {
+        &self.metrics.front
     }
-}
 
-/// Dispatch one request. The bool asks the caller to begin shutdown
-/// after the response is written.
-fn route(
-    shared: &Arc<Shared>,
-    request: &Request,
-    root: SpanCtx,
-    req_id: Option<&str>,
-) -> (Response, bool) {
-    match (request.method.as_str(), request.path.as_str()) {
-        // Liveness: "the process serves requests" — stays 200 while
-        // draining so orchestrators don't kill a replica that is
-        // gracefully finishing its work.
-        ("GET", "/healthz") => (
-            Response::json(200, "{\"status\": \"ok\"}\n".to_string()),
-            false,
-        ),
-        // Readiness: "send me new work" — withdrawn the moment a drain
-        // begins, which is what routers and load balancers probe.
-        ("GET", "/readyz") => {
-            if shared.draining.load(Ordering::SeqCst) {
-                (
-                    Response::error(503, "draining: not ready for new work"),
-                    false,
-                )
-            } else {
-                (
-                    Response::json(200, "{\"status\": \"ready\"}\n".to_string()),
-                    false,
+    fn tag(&self) -> Option<(&'static str, &str)> {
+        self.config
+            .replica_id
+            .as_deref()
+            .map(|id| ("X-Dsp-Replica", id))
+    }
+
+    fn route(
+        &self,
+        front: &Front,
+        request: &Request,
+        root: SpanCtx,
+        req_id: Option<&str>,
+    ) -> Option<Response> {
+        Some(match (request.method.as_str(), request.path.as_str()) {
+            // Liveness: "the process serves requests" — stays 200 while
+            // draining so orchestrators don't kill a replica that is
+            // gracefully finishing its work.
+            ("GET", "/healthz") => Response::json(200, "{\"status\": \"ok\"}\n".to_string()),
+            // Readiness: "send me new work" — withdrawn the moment a
+            // drain begins, which is what routers and load balancers
+            // probe.
+            ("GET", "/readyz") if self.ready(front) => {
+                Response::json(200, "{\"status\": \"ready\"}\n".to_string())
+            }
+            ("GET", "/readyz") => Response::error(503, "draining: not ready for new work"),
+            ("GET", "/metrics") => {
+                let cache = self.engine.cache();
+                Response::text(
+                    200,
+                    &self.metrics.render(
+                        front.queue_depth(),
+                        front.queue_capacity(),
+                        front.workers(),
+                        &cache.stats(),
+                        cache.resident(),
+                        &self.engine.executor().stats(),
+                        self.ready(front),
+                        self.config.replica_id.as_deref(),
+                    ),
                 )
             }
-        }
-        ("GET", "/metrics") => {
-            let text = shared.metrics.render(
-                shared.queue.len(),
-                shared.config.queue_capacity,
-                shared.workers,
-                &shared.engine.cache().stats(),
-                shared.engine.cache().resident(),
-                &shared.engine.executor().stats(),
-                !shared.draining.load(Ordering::SeqCst),
-                shared.config.replica_id.as_deref(),
-            );
-            (Response::text(200, &text), false)
-        }
-        ("GET", "/debug/trace") => (handle_debug_trace(shared, &request.query), false),
-        ("POST", "/compile") => (handle_compile(shared, &request.body, root, req_id), false),
-        ("POST", "/admin/shutdown") => {
-            // Readiness is withdrawn before the response goes out, so
-            // a router probing `/readyz` stops routing here even if
-            // the drain grace keeps the process serving for a while.
-            shared.draining.store(true, Ordering::SeqCst);
-            (
-                Response::json(200, "{\"status\": \"draining\"}\n".to_string()),
-                true,
-            )
-        }
-        (
-            _,
-            "/healthz" | "/readyz" | "/metrics" | "/debug/trace" | "/compile" | "/sweep"
-            | "/admin/shutdown",
-        ) => (
-            Response::error(405, "method not allowed for this path"),
-            false,
-        ),
-        _ => (Response::error(404, "no such endpoint"), false),
+            ("POST", "/compile") => handle_compile(self, &request.body, root, req_id),
+            _ => return None,
+        })
     }
-}
 
-/// The request's correlation ID: a client-supplied `X-Request-Id`
-/// (sanitized to `[A-Za-z0-9._:-]`, at most 64 chars) wins; otherwise
-/// the trace ID is minted into one; with tracing off and no client
-/// header there is none.
-fn request_id(request: &Request, root: SpanCtx) -> Option<String> {
-    let client: Option<String> = request.header("x-request-id").map(|v| {
-        v.chars()
-            .filter(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.' | ':'))
-            .take(64)
-            .collect()
-    });
-    match client {
-        Some(id) if !id.is_empty() => Some(id),
-        _ if root.trace != 0 => Some(format!("{:016x}", root.trace)),
-        _ => None,
+    fn sweep(&self, request: &Request, reply: Reply<'_>, root: SpanCtx) -> SweepOutcome {
+        handle_sweep(self, request, reply, root)
     }
-}
 
-/// The value of `key` in a query string like `a=1&b=2` (no percent
-/// decoding — trace parameters are plain integers).
-fn query_param<'q>(query: &'q str, key: &str) -> Option<&'q str> {
-    query.split('&').find_map(|pair| {
-        let (k, v) = pair.split_once('=')?;
-        (k == key).then_some(v)
-    })
-}
-
-/// `GET /debug/trace?n=K`: the most recent `K` finished spans (default
-/// 256, clamped to 1..=4096) as a JSON document, oldest first. 404
-/// when tracing is disabled so probes can tell "off" from "empty".
-fn handle_debug_trace(shared: &Shared, query: &str) -> Response {
-    if !shared.tracer.is_enabled() {
-        return Response::error(404, "tracing is disabled on this server");
+    fn begin_drain(&self) -> Duration {
+        // Readiness is withdrawn before the response goes out, so a
+        // router probing `/readyz` stops routing here even if the drain
+        // grace keeps the process serving for a while.
+        self.draining.store(true, Ordering::SeqCst);
+        self.config.drain_grace
     }
-    let n = query_param(query, "n")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(256)
-        .clamp(1, 4096);
-    let spans = shared.tracer.snapshot(n);
-    let mut body = String::with_capacity(64 + spans.len() * 192);
-    body.push_str("{\"schema\": \"dualbank-trace/v1\", \"dropped\": ");
-    body.push_str(&shared.tracer.dropped().to_string());
-    body.push_str(", \"spans\": [");
-    for (i, s) in spans.iter().enumerate() {
-        body.push_str(if i == 0 { "\n" } else { ",\n" });
-        body.push_str(&dsp_trace::export::span_json(s));
-    }
-    body.push_str("]}\n");
-    Response::json(200, body)
 }
 
 /// Parse a request body as a JSON object.
@@ -659,24 +350,21 @@ fn parse_partitioner(body: &Value) -> Result<Option<PartitionerKind>, Response> 
 
 /// The engine's compile config with a request-level partitioner
 /// override applied.
-fn effective_config(shared: &Shared, partitioner: Option<PartitionerKind>) -> CompileConfig {
-    let mut config = shared.engine.options().config;
+fn effective_config(state: &ServeState, partitioner: Option<PartitionerKind>) -> CompileConfig {
+    let mut config = state.engine.options().config;
     if let Some(p) = partitioner {
         config.partitioner = p;
     }
     config
 }
 
-fn deadline_response(shared: &Shared) -> Response {
-    shared
-        .metrics
-        .timeouts_total
-        .fetch_add(1, Ordering::Relaxed);
+fn deadline_response(state: &ServeState) -> Response {
+    state.metrics.timeouts_total.fetch_add(1, Ordering::Relaxed);
     Response::error(
         504,
         &format!(
             "request exceeded the {}ms deadline",
-            shared.config.deadline.as_millis()
+            state.config.deadline.as_millis()
         ),
     )
 }
@@ -684,7 +372,7 @@ fn deadline_response(shared: &Shared) -> Response {
 /// `POST /compile`: `{"source": "...", "strategy": "cb", "lir": true}`
 /// → one compiled-and-simulated job.
 fn handle_compile(
-    shared: &Arc<Shared>,
+    state: &ServeState,
     body: &[u8],
     root: SpanCtx,
     req_id: Option<&str>,
@@ -715,7 +403,7 @@ fn handle_compile(
         Ok(p) => p,
         Err(resp) => return resp,
     };
-    let config = effective_config(shared, partitioner);
+    let config = effective_config(state, partitioner);
 
     let bench = Benchmark {
         name: "request".to_string(),
@@ -726,8 +414,8 @@ fn handle_compile(
     };
     // Interactive priority: a point query is dequeued ahead of any
     // queued sweep cells, waiting only on jobs already running.
-    let deadline = Instant::now() + shared.config.deadline;
-    let run = shared.engine.submit_matrix_with_config(
+    let deadline = Instant::now() + state.config.deadline;
+    let run = state.engine.submit_matrix_with_config(
         std::slice::from_ref(&bench),
         &[strategy],
         Priority::Interactive,
@@ -738,7 +426,7 @@ fn handle_compile(
     let job = match run.wait_job_until(0, deadline) {
         WaitOutcome::TimedOut => {
             run.cancel();
-            return deadline_response(shared);
+            return deadline_response(state);
         }
         WaitOutcome::Cancelled => return Response::error(500, "compile job failed to run"),
         WaitOutcome::Done(Err(e)) => {
@@ -749,7 +437,7 @@ fn handle_compile(
     // The artifact is resident in the cache the job just went through;
     // fetch it back (a cache hit) only to render the listing.
     let listing = if want_lir {
-        match render_lir(shared, &bench.source, strategy, config) {
+        match render_lir(state, &bench.source, strategy, config) {
             Ok(l) => Some(l),
             Err(e) => return Response::error(400, &format!("compilation failed: {e}")),
         }
@@ -771,12 +459,12 @@ fn handle_compile(
 /// Disassemble the artifact `/compile` just produced (served from the
 /// cache; recompiles inline only if it was already evicted).
 fn render_lir(
-    shared: &Shared,
+    state: &ServeState,
     source: &str,
     strategy: Strategy,
     config: CompileConfig,
 ) -> Result<String, Box<dyn std::error::Error + Send + Sync>> {
-    let cache = shared.engine.cache();
+    let cache = state.engine.cache();
     let (prep, _) = cache.prepared(source)?;
     let profile = if matches!(strategy, Strategy::ProfileWeighted | Strategy::SelectiveDup) {
         Some(cache.profile(&prep)?.0)
@@ -860,35 +548,6 @@ pub fn parse_sweep_targets(body: &[u8]) -> Result<SweepRequest, Response> {
     })
 }
 
-/// How a self-writing handler left the connection.
-struct SweepOutcome {
-    /// Status for the request log/metrics.
-    status: u16,
-    /// False once a write failed — the connection must close.
-    io_ok: bool,
-}
-
-fn finish_buffered(
-    resp: Response,
-    req_id: Option<&str>,
-    replica: Option<&str>,
-    stream: &mut TcpStream,
-    keep_alive: bool,
-) -> SweepOutcome {
-    let resp = match req_id {
-        Some(id) => resp.with_header("X-Request-Id", id.to_string()),
-        None => resp,
-    };
-    let resp = match replica {
-        Some(rid) => resp.with_header("X-Dsp-Replica", rid.to_string()),
-        None => resp,
-    };
-    SweepOutcome {
-        status: resp.status,
-        io_ok: resp.write_to(stream, keep_alive).is_ok(),
-    }
-}
-
 /// `POST /sweep`: submit the matrix as batch jobs on the shared
 /// executor and stream the `dualbank-run-report/v1` document back
 /// chunk-by-chunk as cells finish, in matrix order.
@@ -901,33 +560,23 @@ fn finish_buffered(
 /// stays 200). HTTP/1.0 peers cannot take chunked encoding and get the
 /// same document buffered.
 fn handle_sweep(
-    shared: &Arc<Shared>,
+    state: &ServeState,
     request: &Request,
-    stream: &mut TcpStream,
-    keep_alive: bool,
+    reply: Reply<'_>,
     root: SpanCtx,
-    req_id: Option<&str>,
 ) -> SweepOutcome {
     let sweep = match parse_sweep_targets(&request.body) {
         Ok(t) => t,
-        Err(resp) => {
-            return finish_buffered(
-                resp,
-                req_id,
-                shared.config.replica_id.as_deref(),
-                stream,
-                keep_alive,
-            )
-        }
+        Err(resp) => return reply.finish_buffered(resp),
     };
-    let deadline = Instant::now() + shared.config.deadline;
-    let run = shared.engine.submit_matrix_with_config(
+    let deadline = Instant::now() + state.config.deadline;
+    let run = state.engine.submit_matrix_with_config(
         &sweep.benches,
         &sweep.strategies,
         Priority::Batch,
         CancelToken::new(),
         root,
-        effective_config(shared, sweep.partitioner),
+        effective_config(state, sweep.partitioner),
     );
 
     // Nothing is on the wire yet, so the first cell can still change
@@ -935,111 +584,68 @@ fn handle_sweep(
     let first = match run.wait_job_until(0, deadline) {
         WaitOutcome::TimedOut => {
             run.cancel();
-            return finish_buffered(
-                deadline_response(shared),
-                req_id,
-                shared.config.replica_id.as_deref(),
-                stream,
-                keep_alive,
-            );
+            return reply.finish_buffered(deadline_response(state));
         }
         WaitOutcome::Cancelled => {
-            return finish_buffered(
-                Response::error(500, "sweep job failed to run"),
-                req_id,
-                shared.config.replica_id.as_deref(),
-                stream,
-                keep_alive,
-            )
+            return reply.finish_buffered(Response::error(500, "sweep job failed to run"))
         }
         WaitOutcome::Done(Err(e)) => {
             run.cancel();
-            return finish_buffered(
-                Response::error(400, &format!("sweep failed: {e}")),
-                req_id,
-                shared.config.replica_id.as_deref(),
-                stream,
-                keep_alive,
-            );
+            return reply.finish_buffered(Response::error(400, &format!("sweep failed: {e}")));
         }
         WaitOutcome::Done(Ok(job)) => job,
     };
-
-    if request.http1_0 {
-        return sweep_buffered(shared, &run, &first, deadline, stream, keep_alive, req_id);
-    }
-
     // The request ID rides in the response header and on every job
     // object, so a streamed document stays attributable even if the
-    // client saves only the body; the replica identity rides with it
-    // so a routed client can see who served the sweep.
-    let mut extra: Vec<(&str, String)> = req_id
-        .iter()
-        .map(|id| ("X-Request-Id", (*id).to_string()))
-        .collect();
-    if let Some(rid) = &shared.config.replica_id {
-        extra.push(("X-Dsp-Replica", rid.clone()));
-    }
-    let mut writer = match ChunkedWriter::start(stream, 200, "application/json", keep_alive, &extra)
-    {
-        Ok(w) => w,
-        Err(_) => {
-            run.cancel();
-            return SweepOutcome {
-                status: 200,
-                io_ok: false,
-            };
-        }
-    };
+    // client saves only the body.
+    let req_id = reply.req_id;
+    let mut jobs = vec![first.to_json_digested(req_id)];
     let mut truncated = false;
-    let mut io = writer
-        .chunk(sweep_json_prefix(run.workers(), run.strategies()).as_bytes())
-        .and_then(|()| writer.chunk(first.to_json_digested(req_id).as_bytes()));
-    if io.is_ok() {
+
+    if request.http1_0 {
+        // The buffered fallback: same document, same deadline semantics.
         for i in 1..run.len() {
-            match run.wait_job_until(i, deadline) {
-                WaitOutcome::Done(Ok(job)) => {
-                    io = writer.chunk(format!(",\n{}", job.to_json_digested(req_id)).as_bytes());
-                    if io.is_err() {
-                        break;
-                    }
-                }
-                WaitOutcome::TimedOut => {
-                    // Take the still-queued cells out of the executor
-                    // and close the document honestly.
-                    run.cancel();
-                    shared
-                        .metrics
-                        .truncations_total
-                        .fetch_add(1, Ordering::Relaxed);
-                    truncated = true;
-                    break;
-                }
-                WaitOutcome::Done(Err(_)) | WaitOutcome::Cancelled => {
-                    // A failed cell cannot change the already-sent
-                    // status line; end the document as truncated.
-                    run.cancel();
+            match next_job(state, &run, i, deadline, req_id) {
+                Some(job) => jobs.push(job),
+                None => {
                     truncated = true;
                     break;
                 }
             }
         }
+        let body = format!(
+            "{}{}{}",
+            sweep_json_prefix(run.workers(), run.strategies()),
+            jobs.join(",\n"),
+            sweep_json_tail(run.elapsed(), &run.cache_stats(), truncated)
+        );
+        return reply.finish_buffered(Response::json(200, body));
     }
-    if io.is_err() {
-        // The peer went away mid-stream: stop computing for it.
+
+    let Ok(mut writer) = reply.chunked() else {
         run.cancel();
-        return SweepOutcome {
-            status: 200,
-            io_ok: false,
-        };
+        return SweepOutcome::BROKEN;
+    };
+    let mut io = writer
+        .chunk(sweep_json_prefix(run.workers(), run.strategies()).as_bytes())
+        .and_then(|()| writer.chunk(jobs[0].as_bytes()));
+    if io.is_ok() {
+        for i in 1..run.len() {
+            let Some(job) = next_job(state, &run, i, deadline, req_id) else {
+                truncated = true;
+                break;
+            };
+            io = writer.chunk(format!(",\n{job}").as_bytes());
+            if io.is_err() {
+                break;
+            }
+        }
     }
     let tail = sweep_json_tail(run.elapsed(), &run.cache_stats(), truncated);
-    if writer.chunk(tail.as_bytes()).is_err() {
+    if io.and_then(|()| writer.chunk(tail.as_bytes())).is_err() {
+        // The peer went away mid-stream: stop computing for it.
         run.cancel();
-        return SweepOutcome {
-            status: 200,
-            io_ok: false,
-        };
+        return SweepOutcome::BROKEN;
     }
     SweepOutcome {
         status: 200,
@@ -1047,49 +653,47 @@ fn handle_sweep(
     }
 }
 
-/// The `/sweep` fallback for HTTP/1.0 peers: same document, same
-/// deadline semantics, buffered with a `Content-Length`.
-fn sweep_buffered(
-    shared: &Arc<Shared>,
+/// Wait for cell `i` of a sweep and render it, or `None` when the
+/// document must end truncated: on the deadline (the still-queued
+/// cells are taken out of the executor) or on a failed cell, which
+/// cannot change a status line that is already sent.
+fn next_job(
+    state: &ServeState,
     run: &MatrixRun,
-    first: &JobReport,
+    i: usize,
     deadline: Instant,
-    stream: &mut TcpStream,
-    keep_alive: bool,
     req_id: Option<&str>,
-) -> SweepOutcome {
-    let mut jobs = vec![first.to_json_digested(req_id)];
-    let mut truncated = false;
-    for i in 1..run.len() {
-        match run.wait_job_until(i, deadline) {
-            WaitOutcome::Done(Ok(job)) => jobs.push(job.to_json_digested(req_id)),
-            WaitOutcome::TimedOut => {
-                run.cancel();
-                shared
-                    .metrics
-                    .truncations_total
-                    .fetch_add(1, Ordering::Relaxed);
-                truncated = true;
-                break;
-            }
-            WaitOutcome::Done(Err(_)) | WaitOutcome::Cancelled => {
-                run.cancel();
-                truncated = true;
-                break;
-            }
+) -> Option<String> {
+    match run.wait_job_until(i, deadline) {
+        WaitOutcome::Done(Ok(job)) => Some(job.to_json_digested(req_id)),
+        WaitOutcome::TimedOut => {
+            run.cancel();
+            state
+                .metrics
+                .truncations_total
+                .fetch_add(1, Ordering::Relaxed);
+            None
+        }
+        WaitOutcome::Done(Err(_)) | WaitOutcome::Cancelled => {
+            run.cancel();
+            None
         }
     }
-    let body = format!(
-        "{}{}{}",
-        sweep_json_prefix(run.workers(), run.strategies()),
-        jobs.join(",\n"),
-        sweep_json_tail(run.elapsed(), &run.cache_stats(), truncated)
-    );
-    finish_buffered(
-        Response::json(200, body),
-        req_id,
-        shared.config.replica_id.as_deref(),
-        stream,
-        keep_alive,
-    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn binding_refuses_a_zero_queue() {
+        let err = Server::bind(ServerConfig {
+            queue_capacity: 0,
+            ..ServerConfig::default()
+        })
+        .err()
+        .expect("zero queue refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("queue_capacity"), "{err}");
+    }
 }

@@ -6,15 +6,18 @@
 //! program), compile traffic beside full-suite sweeps loses nothing and
 //! changes no result, a full queue answers 503, a runaway request
 //! answers 504, `/metrics` has the documented shape, and malformed or
-//! oversized input never kills the server.
+//! oversized input never kills the server. The front-end's own cases
+//! (bad input, read deadline, full queue) also run against a
+//! `dsp-router`, which shares the front-end.
 
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
 use dsp_backend::Strategy;
 use dsp_driver::json::{self, Value};
 use dsp_driver::{project_deterministic_json, verify_report_digests, Engine, EngineOptions};
+use dsp_router::{Router, RouterConfig};
 use dsp_serve::client::ClientConn;
 use dsp_serve::{Server, ServerConfig, ServerHandle};
 use dsp_workloads::{Benchmark, Kind};
@@ -97,6 +100,82 @@ fn small_config() -> ServerConfig {
         read_timeout: Duration::from_secs(2),
         ..ServerConfig::default()
     }
+}
+
+/// The front-end settings the shared front-end's tests vary.
+#[derive(Clone, Copy)]
+struct Limits {
+    workers: usize,
+    queue_capacity: usize,
+    read_timeout: Duration,
+    read_deadline: Duration,
+}
+
+/// A running front-end under test: a server, or a router.
+struct FrontEnd {
+    /// True for the router.
+    routed: bool,
+    /// Metric-family prefix: `dsp_serve` or `dsp_router`.
+    prefix: &'static str,
+    addr: SocketAddr,
+    stop: Box<dyn FnOnce()>,
+}
+
+impl FrontEnd {
+    fn connect(&self) -> ClientConn {
+        ClientConn::connect(self.addr, Duration::from_secs(30)).expect("connect")
+    }
+
+    fn stop(self) {
+        (self.stop)();
+    }
+}
+
+/// The front-end's tests run once against a server and once against a
+/// router. The router's one replica address has nothing listening:
+/// these cases never reach an upstream.
+fn front_ends(limits: Limits) -> impl Iterator<Item = FrontEnd> {
+    [false, true].into_iter().map(move |routed| {
+        if !routed {
+            let server = TestServer::start(ServerConfig {
+                workers: limits.workers,
+                queue_capacity: limits.queue_capacity,
+                read_timeout: limits.read_timeout,
+                read_deadline: limits.read_deadline,
+                ..ServerConfig::default()
+            });
+            return FrontEnd {
+                routed,
+                prefix: "dsp_serve",
+                addr: server.addr,
+                stop: Box::new(move || server.stop()),
+            };
+        }
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("a free port");
+        let router = Router::bind(RouterConfig {
+            replicas: vec![dead.to_string()],
+            workers: limits.workers,
+            queue_capacity: limits.queue_capacity,
+            read_timeout: limits.read_timeout,
+            read_deadline: limits.read_deadline,
+            ..RouterConfig::default()
+        })
+        .expect("bind router");
+        let addr = router.local_addr();
+        let handle = router.handle();
+        let thread = std::thread::spawn(move || router.run());
+        FrontEnd {
+            routed,
+            prefix: "dsp_router",
+            addr,
+            stop: Box::new(move || {
+                handle.shutdown();
+                thread.join().expect("router thread").expect("router run");
+            }),
+        }
+    })
 }
 
 fn compile_body(source: &str, strategy: &str) -> String {
@@ -700,67 +779,67 @@ fn trickled_request_bytes_hit_the_read_deadline_with_a_408() {
     // because every read makes progress; only the whole-request read
     // deadline can unpin the worker. This is the request-side twin of
     // the upstream trickle defense in the router's client.
-    let server = TestServer::start(ServerConfig {
+    for front in front_ends(Limits {
         workers: 1,
         queue_capacity: 4,
         read_timeout: Duration::from_secs(2),
         read_deadline: Duration::from_millis(600),
-        ..ServerConfig::default()
-    });
-    let slow = TcpStream::connect(server.addr).expect("connect");
-    let mut reader = slow.try_clone().expect("clone");
-    reader
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("read timeout");
+    }) {
+        let slow = TcpStream::connect(front.addr).expect("connect");
+        let mut reader = slow.try_clone().expect("clone");
+        reader
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
 
-    let started = Instant::now();
-    let writer = std::thread::spawn(move || {
-        let mut slow = slow;
-        if slow
-            .write_all(b"POST /compile HTTP/1.1\r\nContent-Length: 1000\r\n\r\n")
-            .is_err()
-        {
-            return;
-        }
-        // Trickle body bytes until the server hangs up on us.
-        while slow.write_all(b"x").is_ok() {
-            std::thread::sleep(Duration::from_millis(100));
-            if started.elapsed() > Duration::from_secs(30) {
-                return; // the assert below reports the failure
+        let started = Instant::now();
+        let writer = std::thread::spawn(move || {
+            let mut slow = slow;
+            if slow
+                .write_all(b"POST /compile HTTP/1.1\r\nContent-Length: 1000\r\n\r\n")
+                .is_err()
+            {
+                return;
+            }
+            // Trickle body bytes until the server hangs up on us.
+            while slow.write_all(b"x").is_ok() {
+                std::thread::sleep(Duration::from_millis(100));
+                if started.elapsed() > Duration::from_secs(30) {
+                    return; // the assert below reports the failure
+                }
+            }
+        });
+        // Read concurrently so the 408 is captured before the reset that
+        // follows the server's close can discard it.
+        let mut buf = Vec::new();
+        let mut chunk = [0u8; 1024];
+        loop {
+            match reader.read(&mut chunk) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
             }
         }
-    });
-    // Read concurrently so the 408 is captured before the reset that
-    // follows the server's close can discard it.
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    loop {
-        match reader.read(&mut chunk) {
-            Ok(0) | Err(_) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-        }
-    }
-    writer.join().expect("writer thread");
-    let text = String::from_utf8_lossy(&buf);
-    assert!(
-        text.starts_with("HTTP/1.1 408"),
-        "expected a 408 read-deadline response, got: {text:?}"
-    );
-    assert!(
-        started.elapsed() < Duration::from_secs(8),
-        "the 408 must arrive on the deadline, not the fuel of patience"
-    );
+        writer.join().expect("writer thread");
+        let text = String::from_utf8_lossy(&buf);
+        assert!(
+            text.starts_with("HTTP/1.1 408"),
+            "{}: expected a 408 read-deadline response, got: {text:?}",
+            front.prefix
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(8),
+            "{}: the 408 must arrive on the deadline, not the fuel of patience",
+            front.prefix
+        );
 
-    let metrics = server
-        .connect()
-        .request("GET", "/metrics", None)
-        .expect("metrics")
-        .text();
-    assert!(
-        metrics.contains("dsp_serve_read_deadline_total 1"),
-        "{metrics}"
-    );
-    server.stop();
+        let metrics = front
+            .connect()
+            .request("GET", "/metrics", None)
+            .expect("metrics")
+            .text();
+        let family = format!("{}_read_deadline_total 1", front.prefix);
+        assert!(metrics.contains(&family), "{metrics}");
+        front.stop();
+    }
 }
 
 #[test]
@@ -768,31 +847,47 @@ fn full_queue_answers_503_with_retry_after() {
     // 1 worker, queue of 1: the worker is pinned by one idle
     // connection, a second idles in the queue, so a third must be
     // rejected at accept time.
-    let server = TestServer::start(ServerConfig {
+    for front in front_ends(Limits {
         workers: 1,
         queue_capacity: 1,
         read_timeout: Duration::from_secs(5),
-        ..ServerConfig::default()
-    });
+        read_deadline: Duration::from_secs(15),
+    }) {
+        let pinned = TcpStream::connect(front.addr).expect("connect");
+        std::thread::sleep(Duration::from_millis(150)); // worker pops it
+        let queued = TcpStream::connect(front.addr).expect("connect");
+        std::thread::sleep(Duration::from_millis(150)); // sits in queue
 
-    let pinned = TcpStream::connect(server.addr).expect("connect");
-    std::thread::sleep(Duration::from_millis(150)); // worker pops it
-    let queued = TcpStream::connect(server.addr).expect("connect");
-    std::thread::sleep(Duration::from_millis(150)); // sits in queue
+        let mut rejected = front.connect();
+        let resp = rejected
+            .request("GET", "/healthz", None)
+            .expect("server must answer the rejected connection");
+        assert_eq!(resp.status, 503, "{}", front.prefix);
+        assert_eq!(resp.header("retry-after"), Some("1"));
+        let text = resp.text();
+        assert!(text.contains("capacity"), "{text}");
 
-    let mut rejected = server.connect();
-    let resp = rejected
-        .request("GET", "/healthz", None)
-        .expect("server must answer the rejected connection");
-    assert_eq!(resp.status, 503);
-    assert_eq!(resp.header("retry-after"), Some("1"));
-    let text = resp.text();
-    assert!(text.contains("capacity"), "{text}");
-
-    // Free the worker before joining so shutdown is immediate.
-    drop(pinned);
-    drop(queued);
-    server.stop();
+        // Free the worker, then read the counter. A scrape that lands
+        // while the queued connection still fills the queue is itself
+        // rejected, and counted.
+        drop(pinned);
+        drop(queued);
+        let mut rejections = 1;
+        let metrics = loop {
+            let resp = front
+                .connect()
+                .request("GET", "/metrics", None)
+                .expect("metrics");
+            if resp.status == 200 {
+                break resp.text();
+            }
+            rejections += 1;
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let family = format!("{}_rejected_total", front.prefix);
+        assert_eq!(metric(&metrics, &family), Some(rejections), "{metrics}");
+        front.stop();
+    }
 }
 
 #[test]
@@ -1132,54 +1227,64 @@ fn disabled_tracing_removes_ids_trace_endpoint_and_histograms() {
 
 #[test]
 fn hostile_input_never_kills_the_server() {
-    let server = TestServer::start(small_config());
+    for front in front_ends(Limits {
+        workers: 2,
+        queue_capacity: 8,
+        read_timeout: Duration::from_secs(2),
+        read_deadline: Duration::from_secs(15),
+    }) {
+        let who = front.prefix;
 
-    // Raw garbage → 400.
-    let mut garbage = server.connect();
-    let resp = garbage.raw(b"NOT HTTP AT ALL\r\n\r\n").expect("response");
-    assert_eq!(resp.status, 400);
+        // Raw garbage → 400.
+        let mut garbage = front.connect();
+        let resp = garbage.raw(b"NOT HTTP AT ALL\r\n\r\n").expect("response");
+        assert_eq!(resp.status, 400, "{who}");
 
-    // Oversized body (declared) → 413 without reading it all.
-    let mut big = server.connect();
-    let resp = big
-        .raw(b"POST /compile HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n")
-        .expect("response");
-    assert_eq!(resp.status, 413);
+        // Oversized body (declared) → 413 without reading it all.
+        let mut big = front.connect();
+        let resp = big
+            .raw(b"POST /compile HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n")
+            .expect("response");
+        assert_eq!(resp.status, 413, "{who}");
 
-    // Bad JSON → 400 with an error envelope.
-    let mut bad_json = server.connect();
-    let resp = bad_json
-        .request("POST", "/compile", Some("{not json"))
-        .expect("response");
-    assert_eq!(resp.status, 400);
-    assert!(resp.text().contains("error"));
+        // The compile-body cases need a replica to answer them.
+        if !front.routed {
+            // Bad JSON → 400 with an error envelope.
+            let mut bad_json = front.connect();
+            let resp = bad_json
+                .request("POST", "/compile", Some("{not json"))
+                .expect("response");
+            assert_eq!(resp.status, 400);
+            assert!(resp.text().contains("error"));
 
-    // Valid JSON, missing fields → 400.
-    let mut missing = server.connect();
-    let resp = missing
-        .request("POST", "/compile", Some("{}"))
-        .expect("response");
-    assert_eq!(resp.status, 400);
+            // Valid JSON, missing fields → 400.
+            let mut missing = front.connect();
+            let resp = missing
+                .request("POST", "/compile", Some("{}"))
+                .expect("response");
+            assert_eq!(resp.status, 400);
 
-    // Source that does not compile → 400, not a panic.
-    let mut uncompilable = server.connect();
-    let resp = uncompilable
-        .request("POST", "/compile", Some(&compile_body("int $!bad", "cb")))
-        .expect("response");
-    assert_eq!(resp.status, 400);
+            // Source that does not compile → 400, not a panic.
+            let mut uncompilable = front.connect();
+            let resp = uncompilable
+                .request("POST", "/compile", Some(&compile_body("int $!bad", "cb")))
+                .expect("response");
+            assert_eq!(resp.status, 400);
+        }
 
-    // Unknown path → 404; wrong method → 405.
-    let mut nav = server.connect();
-    let resp = nav.request("GET", "/nope", None).expect("response");
-    assert_eq!(resp.status, 404);
-    let resp = nav.request("GET", "/compile", None).expect("response");
-    assert_eq!(resp.status, 405);
+        // Unknown path → 404; wrong method → 405.
+        let mut nav = front.connect();
+        let resp = nav.request("GET", "/nope", None).expect("response");
+        assert_eq!(resp.status, 404, "{who}");
+        let resp = nav.request("GET", "/compile", None).expect("response");
+        assert_eq!(resp.status, 405, "{who}");
 
-    // After all of that, the server still works.
-    let mut alive = server.connect();
-    let resp = alive.request("GET", "/healthz", None).expect("response");
-    assert_eq!(resp.status, 200);
-    server.stop();
+        // After all of that, the front-end still works.
+        let mut alive = front.connect();
+        let resp = alive.request("GET", "/healthz", None).expect("response");
+        assert_eq!(resp.status, 200, "{who}");
+        front.stop();
+    }
 }
 
 #[test]

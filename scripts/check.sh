@@ -103,7 +103,7 @@ RDIR=$WORK/router
 # --workers 6 gives each replica connection headroom for the router's
 # pooled keep-alives plus its readiness probes (see docs/serving.md).
 ./target/release/dualbank serve --addr 127.0.0.1:0 --jobs 1 --workers 6 \
-  --replica-id ra >"$RDIR/ra.log" 2>&1 & PIDS="$PIDS $!"
+  --replica-id ra >"$RDIR/ra.log" 2>&1 & RA_PID=$!; PIDS="$PIDS $RA_PID"
 ./target/release/dualbank serve --addr 127.0.0.1:0 --jobs 1 --workers 6 \
   --replica-id rb >"$RDIR/rb.log" 2>&1 & PIDS="$PIDS $!"
 node_addr() { # extract host:port from a node's startup banner
@@ -118,7 +118,7 @@ node_addr() { # extract host:port from a node's startup banner
 RA_ADDR=$(node_addr "$RDIR/ra.log")
 RB_ADDR=$(node_addr "$RDIR/rb.log")
 ./target/release/dsp-router --addr 127.0.0.1:0 --replicas "$RA_ADDR,$RB_ADDR" \
-  >"$RDIR/router.log" 2>&1 & PIDS="$PIDS $!"
+  >"$RDIR/router.log" 2>&1 & RT_PID=$!; PIDS="$PIDS $RT_PID"
 RT_ADDR=$(node_addr "$RDIR/router.log")
 for _ in $(seq 100); do
   curl -fsS "http://$RT_ADDR/readyz" >/dev/null 2>&1 && break
@@ -150,6 +150,20 @@ for _ in $(seq 50); do
     -d "$COMPILE_BODY" >/dev/null \
     || { echo "FAIL: a compile through the router failed after the drain"; exit 1; }
 done
+# Both binaries stop through the shared front-end's shutdown path:
+# `POST /admin/shutdown` to the router and to the surviving replica,
+# and each process must exit 0 within 10 s.
+exits_cleanly() { # $1 pid  $2 name
+  timeout 10 bash -c "while kill -0 $1 2>/dev/null; do sleep 0.1; done" \
+    || { echo "FAIL: $2 still running 10 s after /admin/shutdown"; exit 1; }
+  local status=0
+  wait "$1" || status=$?
+  [ "$status" -eq 0 ] || { echo "FAIL: $2 exited with status $status"; exit 1; }
+}
+curl -fsS -X POST "http://$RT_ADDR/admin/shutdown" >/dev/null
+exits_cleanly "$RT_PID" dsp-router
+curl -fsS -X POST "http://$RA_ADDR/admin/shutdown" >/dev/null
+exits_cleanly "$RA_PID" "replica ra"
 stop_all
 
 echo "== chaos fault-injection smoke test =="

@@ -17,8 +17,8 @@ use dsp_serve::{Server, ServerConfig};
 use dsp_trace::log as tracelog;
 use dualbank::driver::json::Value;
 use dualbank::driver::{
-    parse_byte_budget, parse_cache_dir, parse_entry_budget, parse_worker_count, Engine,
-    EngineOptions, Tracer,
+    parse_byte_budget, parse_cache_dir, parse_entry_budget, parse_queue_capacity,
+    parse_worker_count, Engine, EngineOptions, Tracer,
 };
 use dualbank::{backend, workloads, SimOptions, Simulator, Strategy};
 
@@ -588,7 +588,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         config.jobs = parse_worker_count("--jobs", &v)?;
     }
     if let Some(v) = flag_value(args, "--queue") {
-        config.queue_capacity = parse_worker_count("--queue", &v)?;
+        let default = ServerConfig::default().queue_capacity;
+        config.queue_capacity = parse_queue_capacity("--queue", &v, default)?;
     }
     if let Some(v) = flag_value(args, "--deadline-ms") {
         let ms: u64 = v
