@@ -30,12 +30,16 @@ pub struct CacheFlags {
     /// consulted), `Some(true)` when the artifact was rehydrated from
     /// disk, `Some(false)` when disk missed and the job compiled.
     pub artifact_disk: Option<bool>,
+    /// Simulation outcome served from the memo (another job ran it).
+    pub sim: bool,
 }
 
 /// Wall time of every pipeline stage for one job. Stages shared across
-/// strategies (`parse`, `opt`, `profile`, `reference`) report the time
-/// recorded when the shared work was done, so jobs of one source repeat
-/// the same value — sum them per-source, not per-job.
+/// strategies (`parse`, `opt`, `profile`, `reference`, and `simulate`
+/// among cells that run one program) report the time recorded when the
+/// shared work was done, so jobs of one source repeat the same value —
+/// sum them once per computation ([`RunReport::stage_totals`]), not
+/// per job.
 #[derive(Debug, Clone)]
 pub struct StageTimes {
     /// Front end (lex, parse, IR construction).
@@ -60,7 +64,8 @@ pub struct StageTimes {
     pub link: Duration,
     /// Reference interpreter run (verification baseline).
     pub reference: Duration,
-    /// Cycle-accurate simulation.
+    /// Cycle-accurate simulation: decode and execute of the run whose
+    /// outcome this job used.
     pub simulate: Duration,
     /// Word-for-word comparison against the reference.
     pub verify: Duration,
@@ -200,8 +205,10 @@ impl RunReport {
                 add("final_pack", j.stages.final_pack);
                 add("link", j.stages.link);
             }
-            // Per-job stages always count.
-            add("simulate", j.stages.simulate);
+            if !j.cached.sim {
+                add("simulate", j.stages.simulate);
+            }
+            // The comparison is per job and always counts.
             add("verify", j.stages.verify);
         }
         totals
@@ -239,7 +246,7 @@ impl RunReport {
         ));
         let c = &self.cache;
         out.push_str(&format!(
-            "cache: {} hits / {} misses ({:.0}% hit rate; prepared {}/{}, profile {}/{}, reference {}/{}, artifact {}/{})\n",
+            "cache: {} hits / {} misses ({:.0}% hit rate; prepared {}/{}, profile {}/{}, reference {}/{}, artifact {}/{}, sim {}/{})\n",
             c.hits(),
             c.misses(),
             c.hit_rate() * 100.0,
@@ -251,6 +258,8 @@ impl RunReport {
             c.reference_hits + c.reference_misses,
             c.artifact_hits,
             c.artifact_hits + c.artifact_misses,
+            c.sim_hits,
+            c.sim_hits + c.sim_misses,
         ));
         out
     }
@@ -518,7 +527,7 @@ fn cache_json(c: &CacheStats) -> String {
         ),
     };
     format!(
-        "{{\"prepared\": {}, \"profile\": {}, \"reference\": {}, \"artifact\": {}, \"disk\": {disk}, \"hit_rate\": {}}}",
+        "{{\"prepared\": {}, \"profile\": {}, \"reference\": {}, \"artifact\": {}, \"sim\": {}, \"disk\": {disk}, \"hit_rate\": {}}}",
         evicting(
             c.prepared_hits,
             c.prepared_misses,
@@ -535,6 +544,7 @@ fn cache_json(c: &CacheStats) -> String {
             c.artifact_bytes,
             c.artifact_evicted_bytes
         ),
+        layer(c.sim_hits, c.sim_misses),
         json_f64(c.hit_rate()),
     )
 }
@@ -613,7 +623,7 @@ fn job_json(j: &JobReport) -> String {
     // byte-comparable across partitioners when the results agree.
     format!(
         "{}, \
-         \"cached\": {{\"prepared\": {}, \"profile\": {}, \"reference\": {}, \"artifact\": {}, \"artifact_disk\": {}}}, \
+         \"cached\": {{\"prepared\": {}, \"profile\": {}, \"reference\": {}, \"artifact\": {}, \"artifact_disk\": {}, \"sim\": {}}}, \
          \"stage_ms\": {{{stages}}}, \"opt_pass_ms\": {{{passes}}}, \
          \"partitioner\": {{\"algorithm\": {}, \"passes\": {}, \"moves\": {}}}}}",
         job_core_json(j).strip_suffix('}').expect("core is an object"),
@@ -622,6 +632,7 @@ fn job_json(j: &JobReport) -> String {
         opt_bool(j.cached.reference),
         j.cached.artifact,
         opt_bool(j.cached.artifact_disk),
+        j.cached.sim,
         json_string(j.partitioner),
         j.partition_passes,
         j.partition_moves,

@@ -40,6 +40,8 @@ pub use server::{Router, RouterConfig, RouterHandle};
 
 use std::time::Duration;
 
+use dsp_driver::{parse_queue_capacity, parse_worker_count};
+
 /// Build a [`RouterConfig`] from CLI-style arguments. Shared by the
 /// `dsp-router` binary and the `dualbank router` subcommand so both
 /// accept the same flags.
@@ -102,17 +104,28 @@ pub fn config_from_args(args: &[String]) -> Result<RouterConfig, String> {
     if config.replicas.is_empty() {
         return Err("a router needs at least one --replica host:port".to_string());
     }
-    if let Some(v) = parse_usize("--workers")? {
-        config.workers = v;
+    // Zero is a usage error on these counts, as on `dualbank serve`:
+    // "all cores" and the defaults are spelled by omitting the flag.
+    if let Some(v) = flag_value("--workers") {
+        config.workers = parse_worker_count("--workers", &v)?;
     }
-    if let Some(v) = parse_usize("--queue")? {
-        config.queue_capacity = v.max(1);
-    }
-    if let Some(v) = parse_usize("--pool")? {
-        config.pool_per_replica = v.max(1);
-    }
-    if let Some(v) = parse_usize("--fanout")? {
-        config.fanout = v.max(1);
+    let defaults = RouterConfig::default();
+    for (name, field, default) in [
+        (
+            "--queue",
+            &mut config.queue_capacity,
+            defaults.queue_capacity,
+        ),
+        (
+            "--pool",
+            &mut config.pool_per_replica,
+            defaults.pool_per_replica,
+        ),
+        ("--fanout", &mut config.fanout, defaults.fanout),
+    ] {
+        if let Some(v) = flag_value(name) {
+            *field = parse_queue_capacity(name, &v, default)?;
+        }
     }
     if let Some(v) = parse_usize("--retries")? {
         config.retries = u32::try_from(v).unwrap_or(u32::MAX);
@@ -301,6 +314,50 @@ mod tests {
     fn missing_replicas_is_a_usage_error() {
         let err = config_from_args(&args(&["--addr", "127.0.0.1:0"])).expect_err("no replicas");
         assert!(err.contains("--replica"));
+    }
+
+    #[test]
+    fn zero_counts_are_usage_errors_naming_the_default() {
+        let with =
+            |flag: &str, value: &str| config_from_args(&args(&["--replica", "a:1", flag, value]));
+        assert_eq!(
+            with("--workers", "0").unwrap_err(),
+            "--workers must be at least 1 (omit the flag to use all cores)"
+        );
+        assert_eq!(
+            with("--queue", "0").unwrap_err(),
+            "--queue must be at least 1 (omit the flag for the default of 64)"
+        );
+        assert_eq!(
+            with("--pool", "0").unwrap_err(),
+            "--pool must be at least 1 (omit the flag for the default of 4)"
+        );
+        assert_eq!(
+            with("--fanout", "0").unwrap_err(),
+            "--fanout must be at least 1 (omit the flag for the default of 4)"
+        );
+        let config = config_from_args(&args(&[
+            "--replica",
+            "a:1",
+            "--workers",
+            "3",
+            "--queue",
+            "5",
+            "--pool",
+            "2",
+            "--fanout",
+            "7",
+        ]))
+        .unwrap();
+        assert_eq!(
+            (
+                config.workers,
+                config.queue_capacity,
+                config.pool_per_replica,
+                config.fanout
+            ),
+            (3, 5, 2, 7)
+        );
     }
 
     #[test]

@@ -178,6 +178,7 @@ impl Metrics {
                     ("profile", cache.profile_hits),
                     ("reference", cache.reference_hits),
                     ("artifact", cache.artifact_hits),
+                    ("sim", cache.sim_hits),
                 ][..],
             ),
             (
@@ -189,6 +190,7 @@ impl Metrics {
                     ("profile", cache.profile_misses),
                     ("reference", cache.reference_misses),
                     ("artifact", cache.artifact_misses),
+                    ("sim", cache.sim_misses),
                 ],
             ),
             (
@@ -584,6 +586,8 @@ mod tests {
         let cache = CacheStats {
             prepared_hits: 4,
             artifact_misses: 2,
+            sim_hits: 5,
+            sim_misses: 2,
             prepared_evictions: 1,
             prepared_bytes: 512,
             artifact_bytes: 2048,

@@ -13,7 +13,7 @@
 use dsp_backend::{CompileError, Strategy};
 use dsp_ir::{InterpError, Interpreter, Program};
 use dsp_machine::{VliwProgram, Word};
-use dsp_sim::{SimError, SimStats, Simulator};
+use dsp_sim::{Outcome, SimError, SimStats};
 
 use crate::Benchmark;
 
@@ -129,8 +129,8 @@ pub fn reference_globals(ir: &Program) -> Result<Vec<(String, Vec<Word>)>, Inter
         .collect())
 }
 
-/// Verify a simulated run against a reference snapshot from
-/// [`reference_globals`]: every checked global must match word for
+/// Verify the outcome of a simulated run against a reference snapshot
+/// from [`reference_globals`]: every checked global must match word for
 /// word, and duplicated copies must agree with their primaries.
 ///
 /// # Errors
@@ -139,7 +139,7 @@ pub fn reference_globals(ir: &Program) -> Result<Vec<(String, Vec<Word>)>, Inter
 pub fn verify_sim(
     bench: &Benchmark,
     strategy: Strategy,
-    sim: &Simulator,
+    outcome: &Outcome,
     reference: &[(String, Vec<Word>)],
 ) -> Result<(), RunError> {
     for name in &bench.check_globals {
@@ -151,11 +151,12 @@ pub fn verify_sim(
                 global: name.clone(),
                 detail: "missing in interpreter".into(),
             })?;
-        let got = sim.read_symbol(name).ok_or_else(|| RunError::Mismatch {
+        let symbol = outcome.symbol(name).ok_or_else(|| RunError::Mismatch {
             global: name.clone(),
             detail: "missing in simulator".into(),
         })?;
-        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+        let got = &symbol.words;
+        for (i, (w, g)) in want.iter().zip(got).enumerate() {
             if w != g {
                 return Err(RunError::Mismatch {
                     global: name.clone(),
@@ -163,7 +164,7 @@ pub fn verify_sim(
                 });
             }
         }
-        if let Some(copy) = sim.read_symbol_copy(name) {
+        if let Some(copy) = &symbol.copy {
             if copy != got {
                 return Err(RunError::Mismatch {
                     global: name.clone(),

@@ -31,11 +31,17 @@
 #     it printed beside it (rates divided).
 #  4. compare/: `dsp-perf compare` of change against parent under each
 #     layout, scaled and unscaled, and the null row: the parent's
-#     aligned build against its default build.
+#     aligned build against its default build. Each row ends with its
+#     paired win count, `wins K/N`: the rounds in which the change's
+#     run beat the parent's run of the same round (ties count for
+#     neither), beside the verdict, which it does not replace.
 #  5. traced/: one traced pass, `dsp-perf run --seed 2 --json
 #     --trace-out` over the batch workloads, of each default build and
 #     of the parent's aligned build, for the per-layer metrics; the two
 #     parent builds differ by layout alone, the per-layer noise floor.
+#     traced/sim_tags.json counts each traced sweep's `simulate` spans
+#     by their `sim` tag (hit, miss, wait; `untagged` where a build
+#     does not tag them): how many cells simulated.
 #  6. passes/: three `dualbank bench all --jobs 1 --json` reports per
 #     side, whose `opt_pass_ms` split the optimizer by pass.
 set -euo pipefail
@@ -118,12 +124,40 @@ EOF
 
 echo "== compare =="
 mkdir -p "$OUT/compare"
+# Append `wins K/N` to each compare row read on stdin:
+# BENCHMARK.json RUNS_DIR PARENT_BIN CHANGE_BIN.
+WINS_PY=$(cat <<'EOF'
+import json, pathlib, sys
+bench, runs, parent, change = sys.argv[1:5]
+doc = json.loads(pathlib.Path(bench).read_text())
+better = {m["name"]: m["better"] for s in ("end_to_end", "per_layer") for m in doc[s]}
+def values(workload, metric, build):
+    out = []
+    for f in sorted(pathlib.Path(runs, workload).glob(build + "-*.json")):
+        run = json.loads(f.read_text())
+        for section in ("end_to_end", "per_layer"):
+            m = run.get(section, {}).get(workload, {}).get("metrics", {}).get(metric)
+            if m is not None:
+                out.append(m["value"])
+    return out
+for line in sys.stdin:
+    fields = line.split()
+    if len(fields) < 5 or fields[1] not in better:
+        print(line, end="")
+        continue
+    p, c = values(fields[0], fields[1], parent), values(fields[0], fields[1], change)
+    sign = 1 if better[fields[1]] == "lower" else -1
+    wins = sum(1 for a, b in zip(p, c) if sign * (a - b) > 0)
+    print(f"{line.rstrip()}  wins {wins}/{min(len(p), len(c))}")
+EOF
+)
 compare() { # NAME DIR PARENT_BIN CHANGE_BIN
   local name=$1 dir=$2 p=$3 c=$4 w
   for w in $WORKLOADS; do
     "$OUT/bin/change-default/dsp-perf" compare --bench "$ROOT/BENCHMARK.json" \
       --parent "$OUT/$dir/$w/$p"-*.json --change "$OUT/$dir/$w/$c"-*.json
-  done >"$OUT/compare/$name.txt"
+  done | python3 -c "$WINS_PY" "$ROOT/BENCHMARK.json" "$OUT/$dir" "$p" "$c" \
+    >"$OUT/compare/$name.txt"
   echo "   $name"
   grep latency_p50_ms "$OUT/compare/$name.txt" | sed 's/^/     /'
 }
@@ -144,6 +178,27 @@ for build in parent-default change-default parent-aligned; do
     --json "$OUT/traced/$build.json" --trace-out "$OUT/traced/$build-traces" \
     >"$OUT/traced/$build.out" 2>&1
 done
+python3 - "$OUT" <<'EOF'
+import collections, json, pathlib, sys
+out = pathlib.Path(sys.argv[1])
+tags = {}
+for doc in sorted(out.glob("traced/*-traces/*.trace.json")):
+    build = doc.parent.name.removesuffix("-traces")
+    sweeps = collections.defaultdict(collections.Counter)
+    for e in json.loads(doc.read_text())["traceEvents"]:
+        if e.get("name") == "simulate":
+            args = e.get("args", {})
+            sweeps[args.get("trace")][args.get("sim", "untagged")] += 1
+    # One dict of span counts by tag per traced sweep (trace id).
+    tags.setdefault(build, {})[doc.name.removesuffix(".trace.json")] = [
+        dict(sorted(c.items())) for _, c in sorted(sweeps.items())
+    ]
+(out / "traced" / "sim_tags.json").write_text(json.dumps(tags, indent=1))
+for build, workloads in tags.items():
+    for workload, sweeps in workloads.items():
+        kinds = collections.Counter(json.dumps(s, sort_keys=True) for s in sweeps)
+        print(f"   {build} {workload}: " + ", ".join(f"{n} x {k}" for k, n in kinds.items()))
+EOF
 
 echo "== optimizer passes (default layout) =="
 mkdir -p "$OUT/passes"

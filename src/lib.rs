@@ -126,28 +126,20 @@ impl From<dsp_sim::SimError> for RunSourceError {
 /// Returns [`RunSourceError`] on compilation or simulation failure.
 pub fn run_source(src: &str, strategy: Strategy) -> Result<RunResult, RunSourceError> {
     let out = compile_source(src, strategy)?;
-    let mut sim = Simulator::new(
-        &out.program,
-        SimOptions {
-            dual_ported: strategy.dual_ported(),
-            ..SimOptions::default()
-        },
-    );
-    let stats = sim.run()?;
-    let globals = out
-        .program
-        .symbols
-        .iter()
-        .map(|s| {
-            let words = sim.read_symbol(&s.name).expect("symbol exists");
-            (s.name.clone(), words)
-        })
-        .collect();
+    let options = SimOptions {
+        dual_ported: strategy.dual_ported(),
+        ..SimOptions::default()
+    };
+    let outcome = dsp_sim::simulate(&out.program, options).outcome?;
     Ok(RunResult {
-        cycles: stats.cycles,
-        stats,
+        cycles: outcome.stats.cycles,
+        stats: outcome.stats,
         program: out.program,
-        globals,
+        globals: outcome
+            .symbols
+            .into_iter()
+            .map(|s| (s.name, s.words))
+            .collect(),
     })
 }
 

@@ -20,7 +20,7 @@ use dualbank::driver::{
     parse_byte_budget, parse_cache_dir, parse_entry_budget, parse_queue_capacity,
     parse_worker_count, Engine, EngineOptions, Tracer,
 };
-use dualbank::{backend, workloads, SimOptions, Simulator, Strategy};
+use dualbank::{backend, workloads, SimOptions, Strategy};
 
 fn usage() -> &'static str {
     "dualbank — compiler & simulator for the dual-bank VLIW DSP\n\
@@ -194,25 +194,22 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         None => 10_000_000,
     };
     let out = backend::compile_source(&src, strategy).map_err(|e| e.to_string())?;
-    let mut sim = Simulator::new(
-        &out.program,
-        SimOptions {
-            dual_ported: strategy.dual_ported(),
-            fuel,
-        },
-    );
-    let stats = sim.run().map_err(|e| e.to_string())?;
-    let globals: Vec<(String, Vec<dualbank::Word>)> = out
-        .program
-        .symbols
-        .iter()
-        .map(|s| (s.name.clone(), sim.read_symbol(&s.name).expect("symbol")))
-        .collect();
+    let options = SimOptions {
+        dual_ported: strategy.dual_ported(),
+        fuel,
+    };
+    let outcome = dsp_sim::simulate(&out.program, options)
+        .outcome
+        .map_err(|e| e.to_string())?;
     let result = dualbank::RunResult {
-        cycles: stats.cycles,
-        stats,
+        cycles: outcome.stats.cycles,
+        stats: outcome.stats,
         program: out.program,
-        globals,
+        globals: outcome
+            .symbols
+            .into_iter()
+            .map(|s| (s.name, s.words))
+            .collect(),
     };
     println!("strategy:        {strategy}");
     println!("cycles:          {}", result.cycles);

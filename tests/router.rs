@@ -286,3 +286,28 @@ fn report_project_cli_reduces_a_full_report_to_the_deterministic_bytes() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn router_cli_rejects_a_zero_queue_like_serve() {
+    // Nothing listens on the replica: the flags are checked before any
+    // bind or connect.
+    for args in [
+        &["router", "--replica", "127.0.0.1:1", "--queue", "0"][..],
+        &["serve", "--queue", "0"],
+    ] {
+        let cmd = args[0];
+        let out = Command::new(bin())
+            .args(args)
+            .output()
+            .expect("run the CLI");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success(),
+            "`dualbank {cmd} --queue 0` must fail"
+        );
+        assert!(
+            stderr.contains("--queue must be at least 1 (omit the flag for the default of 64)"),
+            "`dualbank {cmd}`: {stderr}"
+        );
+    }
+}
