@@ -58,7 +58,7 @@ pub mod json;
 pub mod report;
 pub mod store;
 
-pub use cache::{ArtifactCache, ArtifactKey, CacheStats, CompiledArtifact, Lookup};
+pub use cache::{ArtifactCache, ArtifactKey, CacheStats, CompiledArtifact, Lookup, SimMemo};
 pub use engine::{
     parse_byte_budget, parse_cache_dir, parse_entry_budget, parse_queue_capacity,
     parse_worker_count, Engine, EngineError, EngineOptions, MatrixRun,

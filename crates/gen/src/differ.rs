@@ -24,7 +24,7 @@ use std::path::Path;
 
 use dsp_backend::{CompileError, Strategy};
 use dsp_driver::engine::run_job;
-use dsp_driver::{ArtifactCache, EngineOptions, JobReport, SpanCtx};
+use dsp_driver::{ArtifactCache, EngineOptions, JobReport, SimMemo, SpanCtx};
 use dsp_workloads::corpus;
 use dsp_workloads::runner::RunError;
 
@@ -157,13 +157,14 @@ pub fn diff_source(source: &str, opts: &DiffOptions) -> Verdict {
         }
     };
     let cache = ArtifactCache::new();
+    let sims = SimMemo::default();
     let engine_opts = EngineOptions {
         fuel: opts.fuel,
         ..EngineOptions::default()
     };
     let outcomes = Strategy::ALL
         .iter()
-        .map(|&strategy| run_job(&cache, &engine_opts, &bench, strategy, SpanCtx::NONE));
+        .map(|&strategy| run_job(&cache, &sims, &engine_opts, &bench, strategy, SpanCtx::NONE));
     judge(source, opts, outcomes)
 }
 
