@@ -10,6 +10,11 @@
 //! assignment compile to the same program, so the memo also hands out
 //! one program per distinct [`BackendKey`] — held weakly, so it lives
 //! exactly as long as some user (a cache entry, a running job) holds it.
+//! A program that arrives without a compile (decoded from a disk store)
+//! is [interned](SourceMemo::intern) instead: it joins an equal live
+//! program if there is one. Built programs are interned as well, so
+//! every live program of a source is one object per distinct program,
+//! however each of its users got it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, TryLockError, Weak};
@@ -101,6 +106,9 @@ pub struct SourceMemo {
     trial: OnceLock<(TrialConflicts, Duration)>,
     regalloc: Vec<OnceLock<(Result<Assignment, LirGenError>, Duration)>>,
     programs: Mutex<HashMap<BackendKey, ProgramSlot>>,
+    /// Every program handed out, built or interned: where
+    /// [`SourceMemo::intern`] looks for an equal one.
+    live: Mutex<Vec<Weak<VliwProgram>>>,
 }
 
 impl SourceMemo {
@@ -112,6 +120,7 @@ impl SourceMemo {
             trial: OnceLock::new(),
             regalloc: (0..ir.funcs.len()).map(|_| OnceLock::new()).collect(),
             programs: Mutex::new(HashMap::new()),
+            live: Mutex::new(Vec::new()),
         }
     }
 
@@ -138,8 +147,9 @@ impl SourceMemo {
     }
 
     /// The program for `key`: the one another compile built, if someone
-    /// still holds it, else `build`'s. Concurrent callers with one key
-    /// block on a single build. Failed builds are not remembered.
+    /// still holds it, else `build`'s, [interned](SourceMemo::intern).
+    /// Concurrent callers with one key block on a single build. Failed
+    /// builds are not remembered.
     ///
     /// # Errors
     ///
@@ -169,9 +179,28 @@ impl SourceMemo {
         if let Some(program) = held.upgrade() {
             return Ok((program, if waited { Lookup::Wait } else { Lookup::Hit }));
         }
-        let program = Arc::new(build()?);
+        let program = self.intern(Arc::new(build()?));
         *held = Arc::downgrade(&program);
         Ok((program, Lookup::Miss))
+    }
+
+    /// The live program of this source equal to `program`, else
+    /// `program` itself, from now on the one an equal program is
+    /// answered with. Programs are matched by equality, never by a
+    /// digest, so unequal programs never merge.
+    #[must_use]
+    pub fn intern(&self, program: Arc<VliwProgram>) -> Arc<VliwProgram> {
+        let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
+        live.retain(|held| held.strong_count() > 0);
+        if let Some(equal) = live
+            .iter()
+            .filter_map(Weak::upgrade)
+            .find(|held| **held == *program)
+        {
+            return equal;
+        }
+        live.push(Arc::downgrade(&program));
+        program
     }
 
     /// Number of distinct back-end keys requested so far.
@@ -232,5 +261,43 @@ mod tests {
         let (_, again) = memo.program(key, build).unwrap();
         assert_eq!(again, Lookup::Miss);
         assert_eq!(memo.backend_keys(), 1);
+    }
+
+    #[test]
+    fn equal_programs_intern_to_one_object() {
+        let ir = dsp_frontend::compile_str(
+            "float x[4]; float y[4]; float out; \
+             void main() { int i; float s; s = 0.0; \
+             for (i = 0; i < 4; i = i + 1) { s = s + x[i] * y[i]; } out = s; }",
+        )
+        .unwrap();
+        let memo = SourceMemo::new(&ir);
+        let base = crate::compile_ir(&ir, crate::Strategy::Baseline)
+            .unwrap()
+            .program;
+        let ideal = crate::compile_ir(&ir, crate::Strategy::Ideal)
+            .unwrap()
+            .program;
+        assert_ne!(base, ideal, "the test needs two different programs");
+        let key = BackendKey {
+            assignment: vec![0],
+            dual_ported: false,
+            interrupt_safe_dup: false,
+        };
+        let (built, _) = memo.program(key, || Ok::<_, ()>(base.clone())).unwrap();
+        // An equal program that did not come through a compile (as one
+        // decoded from a disk store) joins the built one; an unequal
+        // one stays apart, and so does a later copy of it.
+        let loaded = memo.intern(Arc::new(base.clone()));
+        assert!(Arc::ptr_eq(&built, &loaded));
+        let other = memo.intern(Arc::new(ideal.clone()));
+        assert!(!Arc::ptr_eq(&built, &other));
+        assert!(Arc::ptr_eq(&other, &memo.intern(Arc::new(ideal))));
+        // Once nobody holds a program, an equal one is new again.
+        let weak = Arc::downgrade(&built);
+        drop((built, loaded));
+        assert!(weak.upgrade().is_none());
+        let fresh = Arc::new(base);
+        assert!(Arc::ptr_eq(&fresh, &memo.intern(Arc::clone(&fresh))));
     }
 }

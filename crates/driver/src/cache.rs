@@ -17,7 +17,10 @@
 //!   partitioning strategy asks, so a lone `Base` or `Ideal` compile
 //!   never pays for it), each function's register assignment, and one
 //!   linked program per distinct bank assignment, held weakly so the
-//!   memo never keeps a program the artifact layer has let go.
+//!   memo never keeps a program the artifact layer has let go. Every
+//!   program of a source, compiled or loaded from the disk tier, is
+//!   [interned](SourceMemo::intern) there: equal programs are one
+//!   object.
 //! * **artifact** — the fully compiled program (a distilled
 //!   [`Compiled`]), keyed on (source hash, [`CompileConfig`],
 //!   [`Strategy`]); a repeated sweep compiles each pair exactly once,
@@ -34,9 +37,9 @@
 //! `dsp-serve`'s closed-loop request rate, and with it the memory of
 //! the benchmark's per-request log, past the benchmark's `peak_rss_mb`
 //! bound. So a repeated sweep simulates again, and a single-cell
-//! request never shares. An artifact rehydrated from the disk tier is a
-//! separate program, shared with no other cell, so its cell simulates
-//! unmemoized, through the same [`dsp_sim::simulate`].
+//! request never shares. An artifact rehydrated from the disk tier
+//! holds the interned program, so a sweep over a filled store shares
+//! runs exactly as a compiling one does.
 //!
 //! Below the in-memory artifact layer sits an optional **disk tier**
 //! ([`crate::store::DiskStore`]): an in-memory miss first tries to
@@ -160,8 +163,8 @@ pub struct CacheStats {
     /// Simulations answered by an outcome another cell ran.
     pub sim_hits: u64,
     /// Simulations run: one per distinct (program, dual-ported, fuel)
-    /// of each matrix, where every disk-loaded artifact is a program of
-    /// its own.
+    /// of each matrix, whether its cells compiled the program or loaded
+    /// it from the disk store.
     pub sim_misses: u64,
     /// Prepared-source entries dropped by LRU eviction (bounded caches
     /// only).
@@ -236,10 +239,11 @@ impl CacheStats {
 pub type ReferenceGlobals = Vec<(String, Vec<Word>)>;
 
 /// The simulation outcomes of one matrix, keyed on (linked program,
-/// dual-ported, fuel). A program is known by its shared `Arc`, which
-/// every cell whose compile reached the same bank assignment holds; the
-/// memo keeps each program alive, so its address names it for as long
-/// as the memo lives. An outcome is a pure function of its key, and a
+/// dual-ported, fuel). A program is known by its shared `Arc`: the
+/// source's [`SourceMemo`] interns every program its cells hold, built
+/// or loaded from disk, so equal programs are one object. The memo
+/// keeps each program alive, so its address names it for as long as
+/// the memo lives. An outcome is a pure function of its key, and a
 /// fuel-exhausted one never answers a run with more fuel.
 #[derive(Default)]
 pub struct SimMemo {
@@ -695,9 +699,12 @@ impl ArtifactCache {
         let result = cell.get_or_init(|| {
             fresh = true;
             if let Some(store) = &self.store {
-                if let Some(artifact) = store.load(&key) {
+                if let Some(mut artifact) = store.load(&key) {
                     disk = Some(true);
-                    return Ok(artifact);
+                    // Share the program with the source's equal ones, so
+                    // the cells that run it share one simulation too.
+                    artifact.program = prep.memo.intern(artifact.program);
+                    return Ok(Arc::new(artifact));
                 }
                 disk = Some(false);
             }
@@ -723,8 +730,8 @@ impl ArtifactCache {
     /// The simulation of `artifact`'s program with `fuel` cycles, on
     /// the memory its strategy runs on, with how this call got it: the
     /// outcome another cell of `sims`'s matrix ran, or this call's run.
-    /// An artifact loaded from the disk store shares its program with
-    /// no other cell, so its run is not kept.
+    /// Compiled or loaded from the disk store, an artifact holds its
+    /// source's one object for its program, so equal programs share.
     pub fn simulate(
         &self,
         sims: &SimMemo,
@@ -735,12 +742,7 @@ impl ArtifactCache {
             dual_ported: artifact.strategy.dual_ported(),
             fuel,
         };
-        // Only a compile through the source's memo records a back end.
-        let (run, lookup) = if artifact.reuse.backend.is_some() {
-            sims.run(&artifact.program, options)
-        } else {
-            (Arc::new(simulate(&artifact.program, options)), Lookup::Miss)
-        };
+        let (run, lookup) = sims.run(&artifact.program, options);
         count(lookup == Lookup::Miss, &self.sim_hits, &self.sim_misses);
         (run, lookup)
     }

@@ -71,6 +71,29 @@ pub fn parse_queue_capacity(flag: &str, input: &str, default: usize) -> Result<u
     )
 }
 
+/// Check a command's arguments against the flags it knows: each must
+/// be one of `valued`, followed by its value, or one of `switches`.
+/// The one guard that keeps a mistyped flag (`--queu 0`) from running
+/// silently with the default.
+///
+/// # Errors
+///
+/// Names the first argument that is not a known flag, or a valued flag
+/// with no value after it.
+pub fn check_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("{arg} expects a value"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(format!("unknown flag `{arg}`"));
+        }
+    }
+    Ok(())
+}
+
 fn parse_positive(flag: &str, input: &str, zero_hint: &str) -> Result<usize, String> {
     match input.parse::<usize>() {
         Ok(0) => Err(format!("{flag} must be at least 1 ({zero_hint})")),

@@ -1034,7 +1034,7 @@ impl DiskStore {
     /// fails [`decode_entry`]'s checks or payload decode (quarantined
     /// and counted). Never fails, never panics.
     #[must_use]
-    pub fn load(&self, key: &ArtifactKey) -> Option<Arc<CompiledArtifact>> {
+    pub fn load(&self, key: &ArtifactKey) -> Option<CompiledArtifact> {
         let path = self.entry_path(key);
         let bytes = match self.io.read(&path) {
             Ok(bytes) => bytes,
@@ -1063,7 +1063,7 @@ impl DiskStore {
                         bytes: bytes.len() as u64,
                         modified: now,
                     });
-                Some(Arc::new(artifact))
+                Some(artifact)
             }
             Err(_) => {
                 self.quarantined.fetch_add(1, Ordering::Relaxed);

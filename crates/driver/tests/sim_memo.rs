@@ -82,27 +82,85 @@ fn each_distinct_program_is_simulated_once_per_sweep() {
     assert_eq!(simulate(&warm), per_run, "the total counts each run once");
 }
 
+fn store_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dualbank-sim-memo-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 #[test]
-fn memoized_sweep_reports_the_bytes_of_unmemoized_runs() {
-    // Artifacts loaded from a disk store carry no memo slot, so a sweep
-    // over a filled store simulates every cell on its own.
-    let dir = std::env::temp_dir().join(format!("dualbank-sim-memo-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+fn a_disk_warm_sweep_simulates_each_distinct_program_once() {
+    // Artifacts loaded from a filled store hold their source's interned
+    // programs, so the restart sweep shares runs as a compiling one does.
+    let dir = store_dir("warm");
     let suite = dsp_workloads::all();
-    let memoized = engine(Some(dir.clone()))
+    let storeless = engine(None).run_matrix(&suite, &Strategy::ALL).unwrap();
+    engine(Some(dir.clone()))
         .run_matrix(&suite, &Strategy::ALL)
         .unwrap();
-    let bypassed = engine(Some(dir.clone()))
-        .run_matrix(&suite, &Strategy::ALL)
-        .unwrap();
+    let restarted = engine(Some(dir.clone()));
+    let warm = restarted.run_matrix(&suite, &Strategy::ALL).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(memoized.cache.sim_misses, 103);
-    assert_eq!(bypassed.cache.disk.unwrap().hits, 161);
+    assert_eq!(warm.cache.disk.unwrap().hits, 161);
+    assert_eq!((warm.cache.sim_hits, warm.cache.sim_misses), (58, 103));
+    assert_eq!(distinct_programs(&restarted, &suite), 103);
+    assert_eq!(storeless.deterministic_json(), warm.deterministic_json());
+}
+
+#[test]
+fn compiled_and_loaded_equal_programs_share_one_run() {
+    // A store filled by a sweep of only some strategies: the full sweep
+    // after it loads those cells and compiles the rest.
+    let dir = store_dir("partial");
+    let suite = dsp_workloads::all();
+    let stored = [Strategy::CbPartition, Strategy::FullDup, Strategy::Ideal];
+    engine(Some(dir.clone()))
+        .run_matrix(&suite, &stored)
+        .unwrap();
+    let restarted = engine(Some(dir.clone()));
+    let full = restarted.run_matrix(&suite, &Strategy::ALL).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let loaded = suite.len() * stored.len();
+    assert_eq!(full.cache.disk.unwrap().hits, loaded as u64);
     assert_eq!(
-        (bypassed.cache.sim_hits, bypassed.cache.sim_misses),
-        (0, 161)
+        full.jobs
+            .iter()
+            .filter(|j| j.cached.artifact_disk == Some(true))
+            .count(),
+        loaded
     );
-    assert_eq!(memoized.deterministic_json(), bypassed.deterministic_json());
+    assert_eq!((full.cache.sim_hits, full.cache.sim_misses), (58, 103));
+    assert_eq!(distinct_programs(&restarted, &suite), 103);
+
+    // Two cells hold one program object exactly when their programs are
+    // equal, and some of those pairs were one compiled, one loaded.
+    let cache = restarted.cache();
+    let mut mixed = 0;
+    for bench in &suite {
+        let (prep, _) = cache.prepared(&bench.source).unwrap();
+        let cells: Vec<_> = Strategy::ALL
+            .iter()
+            .map(|&strategy| {
+                let profile =
+                    matches!(strategy, Strategy::ProfileWeighted | Strategy::SelectiveDup)
+                        .then(|| cache.profile(&prep).unwrap().0);
+                let (artifact, _, _) = cache
+                    .artifact(&prep, strategy, CompileConfig::default(), profile)
+                    .unwrap();
+                (stored.contains(&strategy), artifact)
+            })
+            .collect();
+        for (i, (loaded_a, a)) in cells.iter().enumerate() {
+            for (loaded_b, b) in &cells[i + 1..] {
+                let shared = Arc::ptr_eq(&a.program, &b.program);
+                assert_eq!(shared, a.program == b.program, "{}", bench.name);
+                if shared && loaded_a != loaded_b {
+                    mixed += 1;
+                }
+            }
+        }
+    }
+    assert!(mixed > 0, "no compiled cell shared a loaded cell's program");
 }
 
 #[test]

@@ -40,7 +40,7 @@ pub use server::{Router, RouterConfig, RouterHandle};
 
 use std::time::Duration;
 
-use dsp_driver::{parse_queue_capacity, parse_worker_count};
+use dsp_driver::{check_flags, parse_queue_capacity, parse_worker_count};
 
 /// Build a [`RouterConfig`] from CLI-style arguments. Shared by the
 /// `dsp-router` binary and the `dualbank router` subcommand so both
@@ -48,9 +48,36 @@ use dsp_driver::{parse_queue_capacity, parse_worker_count};
 ///
 /// # Errors
 ///
-/// Returns a usage message when a flag's value does not parse or no
-/// replica was given.
+/// Returns a usage message when a flag is unknown, its value does not
+/// parse, or no replica was given.
 pub fn config_from_args(args: &[String]) -> Result<RouterConfig, String> {
+    check_flags(
+        args,
+        &[
+            "--addr",
+            "--replica",
+            "--replicas",
+            "--workers",
+            "--queue",
+            "--pool",
+            "--fanout",
+            "--retries",
+            "--retry-budget",
+            "--retry-backoff-ms",
+            "--fail-after",
+            "--readmit-after",
+            "--probe-ms",
+            "--upstream-timeout-ms",
+            "--connect-timeout-ms",
+            "--first-byte-timeout-ms",
+            "--idle-timeout-ms",
+            "--pool-idle-ms",
+            "--read-deadline-ms",
+            "--breaker-threshold",
+            "--breaker-cooldown-ms",
+        ],
+        &["--no-trace"],
+    )?;
     let mut config = RouterConfig::default();
     let flag_value = |name: &str| -> Option<String> {
         args.iter()
@@ -314,6 +341,14 @@ mod tests {
     fn missing_replicas_is_a_usage_error() {
         let err = config_from_args(&args(&["--addr", "127.0.0.1:0"])).expect_err("no replicas");
         assert!(err.contains("--replica"));
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors_naming_the_flag() {
+        let err = config_from_args(&args(&["--replica", "a:1", "--queu", "0"]));
+        assert_eq!(err.unwrap_err(), "unknown flag `--queu`");
+        let err = config_from_args(&args(&["--replica", "a:1", "--retries"]));
+        assert_eq!(err.unwrap_err(), "--retries expects a value");
     }
 
     #[test]

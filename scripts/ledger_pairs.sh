@@ -35,6 +35,9 @@
 #     paired win count, `wins K/N`: the rounds in which the change's
 #     run beat the parent's run of the same round (ties count for
 #     neither), beside the verdict, which it does not replace.
+#     compare/peak_rss_sorted.json holds each build's `peak_rss_mb`
+#     runs per workload in ascending order: a bimodal metric shows its
+#     clusters there, which a median hides.
 #  5. traced/: one traced pass, `dsp-perf run --seed 2 --json
 #     --trace-out` over the batch workloads, of each default build and
 #     of the parent's aligned build, for the per-layer metrics; the two
@@ -167,6 +170,23 @@ for layout in default aligned; do
 done
 compare null-scaled runs parent-default parent-aligned
 compare null-unscaled unscaled parent-default parent-aligned
+python3 - "$OUT" "$WORKLOADS" "$BINS" <<'EOF'
+import json, pathlib, sys
+out, workloads, bins = pathlib.Path(sys.argv[1]), sys.argv[2].split(), sys.argv[3].split()
+sorted_runs = {}
+for w in workloads:
+    for build in bins:
+        values = []
+        for f in sorted((out / "runs" / w).glob(build + "-*.json")):
+            m = json.loads(f.read_text())["end_to_end"].get(w, {}).get("metrics", {})
+            if "peak_rss_mb" in m:
+                values.append(round(m["peak_rss_mb"]["value"], 2))
+        sorted_runs.setdefault(w, {})[build] = sorted(values)
+(out / "compare" / "peak_rss_sorted.json").write_text(json.dumps(sorted_runs, indent=1))
+print("   suite-disk peak_rss_mb, sorted:")
+for build, values in sorted_runs.get("suite-disk", {}).items():
+    print(f"     {build}: " + " ".join(f"{v:.2f}" for v in values))
+EOF
 
 echo "== traced pass =="
 mkdir -p "$OUT/traced"

@@ -17,7 +17,7 @@ use dsp_serve::{Server, ServerConfig};
 use dsp_trace::log as tracelog;
 use dualbank::driver::json::Value;
 use dualbank::driver::{
-    parse_byte_budget, parse_cache_dir, parse_entry_budget, parse_queue_capacity,
+    check_flags, parse_byte_budget, parse_cache_dir, parse_entry_budget, parse_queue_capacity,
     parse_worker_count, Engine, EngineOptions, Tracer,
 };
 use dualbank::{backend, workloads, SimOptions, Strategy};
@@ -574,6 +574,26 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
+    check_flags(
+        args,
+        &[
+            "--addr",
+            "--workers",
+            "--jobs",
+            "--queue",
+            "--deadline-ms",
+            "--read-deadline-ms",
+            "--max-body-kb",
+            "--cache-capacity",
+            "--cache-max-kb",
+            "--cache-dir",
+            "--cache-disk-max-kb",
+            "--fuel",
+            "--replica-id",
+            "--drain-ms",
+        ],
+        &["--no-trace"],
+    )?;
     let mut config = ServerConfig::default();
     if let Some(addr) = flag_value(args, "--addr") {
         config.addr = addr;
