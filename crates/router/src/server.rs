@@ -805,12 +805,8 @@ fn handle_sweep(
             .fetch_add(1, Ordering::Relaxed);
         return reply.finish_buffered(Response::error(503, "no upstream replica is ready"));
     }
-    let source_mode = std::str::from_utf8(&request.body)
-        .ok()
-        .and_then(|s| json::parse(s).ok())
-        .is_some_and(|v| v.get("source").is_some());
     let cells = decompose_cells(
-        source_mode,
+        sweep.source_mode,
         &sweep.benches,
         &sweep.strategies,
         sweep.partitioner,

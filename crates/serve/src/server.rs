@@ -485,6 +485,8 @@ pub struct SweepRequest {
     pub strategies: Vec<Strategy>,
     /// Partitioning algorithm override; `None` = server default.
     pub partitioner: Option<PartitionerKind>,
+    /// Whether the body named a `source` rather than a `bench`.
+    pub source_mode: bool,
 }
 
 /// Parse a `/sweep` body — `{"source": "..."}` or
@@ -500,6 +502,7 @@ pub fn parse_sweep_targets(body: &[u8]) -> Result<SweepRequest, Response> {
     let body = parse_body(body)?;
     let strategies = parse_strategies(&body)?;
     let partitioner = parse_partitioner(&body)?;
+    let source_mode = body.get("source").is_some();
     let benches = match (body.get("source"), body.get("bench")) {
         (Some(_), Some(_)) => {
             return Err(Response::error(
@@ -545,6 +548,7 @@ pub fn parse_sweep_targets(body: &[u8]) -> Result<SweepRequest, Response> {
         benches,
         strategies,
         partitioner,
+        source_mode,
     })
 }
 

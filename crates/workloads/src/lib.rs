@@ -26,6 +26,8 @@ pub mod data;
 pub mod kernels;
 pub mod runner;
 
+use std::sync::OnceLock;
+
 /// Kernel or full application (paper Tables 1 and 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
@@ -45,7 +47,7 @@ impl std::fmt::Display for Kind {
 }
 
 /// One benchmark program.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Benchmark {
     /// Name, matching the paper's tables (e.g. `fir_256_64`, `lpc`).
     pub name: String,
@@ -59,19 +61,31 @@ pub struct Benchmark {
     pub check_globals: Vec<String>,
 }
 
-/// All 23 benchmarks: the 12 kernels followed by the 11 applications,
-/// in the order of Figures 7 and 8.
-#[must_use]
-pub fn all() -> Vec<Benchmark> {
-    let mut out = kernels::all();
-    out.extend(apps::all());
-    out
+/// The suite, generated once per process on first use.
+fn suite() -> &'static [Benchmark] {
+    static SUITE: OnceLock<Vec<Benchmark>> = OnceLock::new();
+    SUITE.get_or_init(|| {
+        let mut out = kernels::all();
+        out.extend(apps::all());
+        out
+    })
 }
 
-/// Look up a benchmark by its paper name.
+/// All 23 benchmarks: the 12 kernels followed by the 11 applications,
+/// in the order of Figures 7 and 8.
+///
+/// The suite's sources are generated once per process; each call
+/// returns a clone of that table.
+#[must_use]
+pub fn all() -> Vec<Benchmark> {
+    suite().to_vec()
+}
+
+/// Look up a benchmark by its paper name: a clone of that one entry of
+/// the table [`all`] clones, so a lookup never regenerates the suite.
 #[must_use]
 pub fn by_name(name: &str) -> Option<Benchmark> {
-    all().into_iter().find(|b| b.name == name)
+    suite().iter().find(|b| b.name == name).cloned()
 }
 
 #[cfg(test)]
@@ -103,5 +117,35 @@ mod tests {
         assert!(by_name("lpc").is_some());
         assert!(by_name("fft_1024").is_some());
         assert!(by_name("nonesuch").is_none());
+    }
+
+    #[test]
+    fn the_table_is_the_kernels_then_the_applications() {
+        let mut generated = kernels::all();
+        generated.extend(apps::all());
+        assert_eq!(all(), generated);
+    }
+
+    #[test]
+    fn every_name_looks_up_its_own_entry() {
+        for bench in all() {
+            assert_eq!(by_name(&bench.name).as_ref(), Some(&bench));
+        }
+        assert_eq!(by_name(""), None);
+        assert_eq!(by_name("LPC"), None);
+        assert_eq!(by_name("all"), None);
+    }
+
+    #[test]
+    fn lookups_read_one_table() {
+        assert!(std::ptr::eq(suite(), suite()));
+        let first = suite().iter().find(|b| b.name == "lpc").expect("lpc");
+        let second = suite().iter().find(|b| b.name == "lpc").expect("lpc");
+        assert!(std::ptr::eq(first.source.as_ptr(), second.source.as_ptr()));
+        // A caller's copy is its own: the table stays as generated.
+        let mut copy = by_name("lpc").expect("lpc");
+        copy.source.clear();
+        assert_eq!(by_name("lpc").expect("lpc").source, first.source);
+        assert!(!first.source.is_empty());
     }
 }

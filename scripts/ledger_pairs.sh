@@ -9,7 +9,7 @@
 # PARENT and CHANGE are git revisions; CHANGE defaults to HEAD. OUT in
 # the environment names the output directory (default target/ledger).
 # The protocol is fixed: 10 rounds of every workload at the held-out
-# seed 2, and a traced pass of the four batch workloads.
+# seed 2, and three traced passes of all six workloads.
 #
 # Link order and code alignment move wall time by several percent
 # without any change to the code path under test, and the calibration
@@ -38,10 +38,14 @@
 #     compare/peak_rss_sorted.json holds each build's `peak_rss_mb`
 #     runs per workload in ascending order: a bimodal metric shows its
 #     clusters there, which a median hides.
-#  5. traced/: one traced pass, `dsp-perf run --seed 2 --json
-#     --trace-out` over the batch workloads, of each default build and
-#     of the parent's aligned build, for the per-layer metrics; the two
-#     parent builds differ by layout alone, the per-layer noise floor.
+#  5. traced/: three traced passes, one `dsp-perf run --workload W
+#     --seed 2 --json --trace-out` process per workload, batch and
+#     serving, of each default build and of the parent's aligned build:
+#     traced/<build>/<pass>/W.json. The two parent builds differ by
+#     layout alone, the per-layer noise floor; each pass runs the three
+#     builds in turn. traced/layers.json keeps each build's per-layer
+#     metrics per pass with their median and range, and the script
+#     prints every change median outside the two parent builds' range.
 #     traced/sim_tags.json counts each traced sweep's `simulate` spans
 #     by their `sim` tag (hit, miss, wait; `untagged` where a build
 #     does not tag them): how many cells simulated.
@@ -56,7 +60,8 @@ OUT=${OUT:-target/ledger}
 PAIRS=10
 SEED=2
 WORKLOADS="gen-cold suite-cold suite-warm suite-disk serve-direct serve-routed"
-TRACED="suite-cold suite-disk suite-warm gen-cold"
+TRACED="suite-cold suite-disk suite-warm gen-cold serve-direct serve-routed"
+TRACE_PASSES=3
 ALIGNED="-C llvm-args=-align-all-functions=6 -C llvm-args=-align-all-nofallthru-blocks=5"
 BINS="parent-default change-default parent-aligned change-aligned"
 
@@ -188,36 +193,68 @@ for build, values in sorted_runs.get("suite-disk", {}).items():
     print(f"     {build}: " + " ".join(f"{v:.2f}" for v in values))
 EOF
 
-echo "== traced pass =="
-mkdir -p "$OUT/traced"
-args=""
-for w in $TRACED; do args="$args --workload $w"; done
-for build in parent-default change-default parent-aligned; do
-  # shellcheck disable=SC2086
-  run_in "$build" dsp-perf run $args --seed "$SEED" \
-    --json "$OUT/traced/$build.json" --trace-out "$OUT/traced/$build-traces" \
-    >"$OUT/traced/$build.out" 2>&1
+echo "== traced passes: $TRACE_PASSES of $TRACED =="
+rm -rf "$OUT/traced"
+for k in $(seq 1 "$TRACE_PASSES"); do
+  for build in parent-default change-default parent-aligned; do
+    dir="$OUT/traced/$build/$k"
+    mkdir -p "$dir"
+    for w in $TRACED; do
+      run_in "$build" dsp-perf run --workload "$w" --seed "$SEED" \
+        --json "$dir/$w.json" --trace-out "$dir/$w-traces" >"$dir/$w.out" 2>&1
+    done
+  done
+  echo "   traced pass $k done"
 done
-python3 - "$OUT" <<'EOF'
-import collections, json, pathlib, sys
-out = pathlib.Path(sys.argv[1])
+python3 - "$OUT" "$TRACED" <<'EOF'
+import collections, json, pathlib, statistics, sys
+out, workloads = pathlib.Path(sys.argv[1]), sys.argv[2].split()
+builds = ["parent-default", "change-default", "parent-aligned"]
+# Each build's per-layer metrics: the value of every pass, its median
+# and its range.
+layers = {}
+for w in workloads:
+    for build in builds:
+        for run in sorted((out / "traced" / build).glob(f"*/{w}.json")):
+            doc = json.loads(run.read_text())
+            metrics = doc.get("per_layer", {}).get(w, {}).get("metrics", {})
+            for name, m in metrics.items():
+                runs = layers.setdefault(w, {}).setdefault(name, {}).setdefault(build, [])
+                runs.append(m["value"])
+for metrics in layers.values():
+    for by_build in metrics.values():
+        for build, runs in by_build.items():
+            by_build[build] = {"median": statistics.median(runs), "min": min(runs),
+                               "max": max(runs), "runs": runs}
+(out / "traced" / "layers.json").write_text(json.dumps(layers, indent=1))
+print("   change medians outside the two parent builds' range:")
+for w, metrics in layers.items():
+    for name, by_build in sorted(metrics.items()):
+        if not all(b in by_build for b in builds):
+            continue
+        lo = min(by_build[b]["min"] for b in ("parent-default", "parent-aligned"))
+        hi = max(by_build[b]["max"] for b in ("parent-default", "parent-aligned"))
+        c = by_build["change-default"]["median"]
+        if not lo <= c <= hi:
+            print(f"     {w} {name}: {c:.4g} against {lo:.4g}..{hi:.4g}")
+# Simulate spans of each traced sweep (one trace id each) by sim tag.
 tags = {}
-for doc in sorted(out.glob("traced/*-traces/*.trace.json")):
-    build = doc.parent.name.removesuffix("-traces")
+for doc in sorted(out.glob("traced/*/*/*-traces/*.trace.json")):
+    build, k = doc.parts[-5], doc.parts[-4]
     sweeps = collections.defaultdict(collections.Counter)
     for e in json.loads(doc.read_text())["traceEvents"]:
         if e.get("name") == "simulate":
             args = e.get("args", {})
             sweeps[args.get("trace")][args.get("sim", "untagged")] += 1
-    # One dict of span counts by tag per traced sweep (trace id).
-    tags.setdefault(build, {})[doc.name.removesuffix(".trace.json")] = [
-        dict(sorted(c.items())) for _, c in sorted(sweeps.items())
-    ]
+    if sweeps:
+        tags.setdefault(build, {}).setdefault(k, {})[doc.name.removesuffix(".trace.json")] = [
+            dict(sorted(c.items())) for _, c in sorted(sweeps.items())
+        ]
 (out / "traced" / "sim_tags.json").write_text(json.dumps(tags, indent=1))
-for build, workloads in tags.items():
-    for workload, sweeps in workloads.items():
+for build, passes in tags.items():
+    for workload, sweeps in passes.get("1", {}).items():
         kinds = collections.Counter(json.dumps(s, sort_keys=True) for s in sweeps)
-        print(f"   {build} {workload}: " + ", ".join(f"{n} x {k}" for k, n in kinds.items()))
+        print(f"   {build} {workload} (pass 1): " + ", ".join(f"{n} x {k}" for k, n in kinds.items()))
 EOF
 
 echo "== optimizer passes (default layout) =="

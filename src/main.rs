@@ -49,7 +49,8 @@ fn usage() -> &'static str {
      \x20               [--max-body-kb N] [--cache-capacity N]\n\
      \x20               [--cache-max-kb N] [--cache-dir D] [--cache-disk-max-kb N]\n\
      \x20               [--fuel N] [--no-trace]\n\
-     \x20     serve compile/sweep over HTTP (see docs/serving.md);\n\
+     \x20     serve compile/sweep over HTTP (`dualbank serve --help`\n\
+     \x20     for flags; docs/serving.md);\n\
      \x20     --workers sizes the connection pool, --jobs the shared\n\
      \x20     compile/simulate executor (default: all cores);\n\
      \x20     --replica-id NAME tags responses/metrics, --drain-ms N\n\
@@ -573,7 +574,54 @@ fn cmd_fuzz(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// The flag reference `dualbank serve --help` prints: every flag
+/// `cmd_serve` accepts, with its default.
+fn serve_usage() -> &'static str {
+    "dualbank serve — compile/sweep over HTTP (docs/serving.md)
+
+USAGE:
+    dualbank serve [flags]
+
+FLAGS:
+    --addr HOST:PORT          bind address (default 127.0.0.1:0)
+    --workers N               connection workers (default: CPU count)
+    --jobs N                  compile/simulate executor workers
+                              (default: CPU count)
+    --queue N                 accept-queue capacity (default 64)
+    --deadline-ms MS          per-request wall-clock budget (default 10000)
+    --read-deadline-ms MS     whole-request read budget (default 15000;
+                              0 disables)
+    --max-body-kb N           request-body cap in KiB (default 1024)
+    --cache-capacity N        entries per cache layer (default 256;
+                              0 = unbounded)
+    --cache-max-kb N          bytes per cache layer in KiB (default
+                              unbounded; 0 = unbounded)
+    --cache-dir DIR           persistent on-disk artifact store
+    --cache-disk-max-kb N     on-disk store budget in KiB (default
+                              unbounded; 0 = unbounded)
+    --fuel N                  simulator cycle budget per job
+                              (default 200000000)
+    --replica-id NAME         tag responses and /metrics with NAME
+    --drain-ms MS             keep serving this long after
+                              /admin/shutdown withdraws readiness
+                              (default 0)
+    --no-trace                disable spans and latency histograms
+
+ENDPOINTS:
+    POST /compile        compile and simulate one strategy
+    POST /sweep          stream a benchmark x strategy matrix
+    GET  /healthz        liveness
+    GET  /readyz         200 until a drain begins
+    GET  /metrics        dsp_serve_* Prometheus families
+    GET  /debug/trace    recent spans
+    POST /admin/shutdown graceful drain"
+}
+
 fn cmd_serve(args: &[String]) -> Result<(), String> {
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{}", serve_usage());
+        return Ok(());
+    }
     check_flags(
         args,
         &[

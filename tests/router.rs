@@ -315,3 +315,42 @@ fn router_cli_rejects_a_zero_queue_like_serve() {
         assert!(stderr.contains(expected), "`dualbank {cmd}`: {stderr}");
     }
 }
+
+#[test]
+fn serve_help_lists_every_flag_like_router_help() {
+    // `--help` prints the reference and exits before any bind, also
+    // beside flags it would otherwise check.
+    let serve_flags = [
+        "--addr",
+        "--workers",
+        "--jobs",
+        "--queue",
+        "--deadline-ms",
+        "--read-deadline-ms",
+        "--max-body-kb",
+        "--cache-capacity",
+        "--cache-max-kb",
+        "--cache-dir",
+        "--cache-disk-max-kb",
+        "--fuel",
+        "--replica-id",
+        "--drain-ms",
+        "--no-trace",
+    ];
+    for (args, expected) in [
+        (&["serve", "--help"][..], &serve_flags[..]),
+        (&["serve", "--queue", "0", "-h"], &serve_flags),
+        (&["router", "--help"], &["--replica", "--fanout"]),
+    ] {
+        let cmd = args.join(" ");
+        let out = Command::new(bin())
+            .args(args)
+            .output()
+            .expect("run the CLI");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "`dualbank {cmd}` must succeed");
+        for flag in expected {
+            assert!(stdout.contains(flag), "`dualbank {cmd}` omits {flag}:\n{stdout}");
+        }
+    }
+}
